@@ -86,6 +86,40 @@ func waitMigrated(t *testing.T, c *Controller) {
 	t.Fatalf("migrations did not converge: %+v", c.sup.counts())
 }
 
+// waitSettled polls the tenant's snapshot through the controller (the
+// client follows its 307) until exactly `arrivals` are applied and
+// nothing is queued. The arrivals 200 only means queued and on disk,
+// and the applied-arrivals counters trail it; once a snapshot shows
+// the arrivals applied, every worker's counters include them.
+func waitSettled(t *testing.T, base, id string, arrivals int) {
+	t.Helper()
+	var (
+		lastCode int
+		lastBody []byte
+	)
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/v1/sessions/" + id + "/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastBody, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		lastCode = resp.StatusCode
+		if lastCode == http.StatusOK {
+			var snap serve.SessionSnapshot
+			if err := json.Unmarshal(lastBody, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if snap.Arrivals == arrivals && snap.Backlog == 0 {
+				return
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("tenant %s never settled at %d arrivals (last snapshot: %d %s)", id, arrivals, lastCode, lastBody)
+}
+
 // TestClusterMigrationDifferential drives the full cluster surface in
 // process: create through the controller's proxy, ingest through its
 // 307 redirects, migrate the tenant mid-stream between two live
@@ -185,6 +219,7 @@ func TestClusterMigrationDifferential(t *testing.T) {
 		t.Fatalf("snapshot after move: status %d", sresp.StatusCode)
 	}
 	feed(in.Jobs[cut:])
+	waitSettled(t, ctrl.URL, "mig-1", len(in.Jobs))
 
 	// Fleet observability: both workers alive, the merged arrivals
 	// counter sees the whole stream no matter where each half landed.

@@ -583,10 +583,11 @@ func (s *Session) apply() {
 			start := time.Now()
 			applied, err := s.run.ApplyBatch(batch)
 			d := time.Since(start)
+			// Counted before mu is released: a Snapshot that shows
+			// these arrivals applied is then never ahead of the
+			// applied-arrivals counter.
+			s.host.metrics.arrivalsApplied(s.stripe, applied, d)
 			s.mu.Unlock()
-			if applied > 0 {
-				s.host.metrics.arrivalsApplied(s.stripe, applied, d)
-			}
 			if err != nil {
 				s.recordErr(err)
 				s.host.metrics.arrivalsFailed(len(batch) - applied)
@@ -807,7 +808,9 @@ type SessionSnapshot struct {
 
 // Snapshot observes the live run between arrivals without disturbing
 // it. Arrivals still queued are visible as Backlog, not in the
-// engine's arrival count.
+// engine's arrival count. That count is never ahead of the host's
+// applied-arrivals counter (schedd_arrivals_total): the applier
+// records each batch there before it releases the run.
 func (s *Session) Snapshot() SessionSnapshot {
 	s.mu.Lock()
 	snap := s.run.Snapshot()
