@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -214,7 +215,7 @@ func BenchmarkReplayAll(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.ReplayAllSpec(fleet, spec, workers); err != nil {
+				if _, err := engine.DefaultRegistry().ReplayAll(context.Background(), fleet, spec, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -233,7 +234,7 @@ func BenchmarkRace(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.RaceSpecs(in, specs...); err != nil {
+		if _, err := engine.DefaultRegistry().Race(in, specs...); err != nil {
 			b.Fatal(err)
 		}
 	}

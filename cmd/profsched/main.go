@@ -17,7 +17,7 @@
 // (e.g. a single-processor policy on an m=4 trace).
 //
 // The trace is read from -trace or stdin. The -algos mode replays the
-// trace through every named algorithm concurrently (engine.RaceSpecs)
+// trace through every named algorithm concurrently (Registry.Race)
 // and prints one combined comparison table instead of the
 // single-algorithm report.
 package main
@@ -219,7 +219,7 @@ func runComparison(in *job.Instance, reg *engine.Registry, names []string, delta
 	if len(specs) == 0 {
 		return fmt.Errorf("-algos: no algorithms given")
 	}
-	results, err := reg.RaceSpecs(in, specs...)
+	results, err := reg.Race(in, specs...)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -359,7 +360,7 @@ func TestEndToEndCluster(t *testing.T) {
 		if err := json.Unmarshal(body, &closed); err != nil || closed.Result == nil {
 			t.Fatalf("close %s response %s: %v", id, body, err)
 		}
-		wantRes, err := engine.ReplayAllSpec([]*job.Instance{ins[i]}, spec, 1)
+		wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{ins[i]}, spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

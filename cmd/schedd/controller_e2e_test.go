@@ -14,6 +14,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,7 +136,7 @@ func closeDifferential(t *testing.T, base, id string, in *job.Instance, spec eng
 	if err := json.Unmarshal(body, &closed); err != nil || closed.Result == nil {
 		t.Fatalf("close %s response %s: %v", id, body, err)
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +405,11 @@ func TestEndToEndStandbyFailover(t *testing.T) {
 		}
 		return json.Unmarshal(body, &top) == nil && top.Role == "primary"
 	})
-	if !standby.sawLine("schedd: controller takeover") {
-		t.Fatal("takeover line never printed")
-	}
+	// The role flips inside Takeover, before the line is printed and
+	// before the stdout reader collects it, so poll for the line too.
+	waitCondE2E(t, "takeover line printed", func() bool {
+		return standby.sawLine("schedd: controller takeover")
+	})
 	if got := placementView(t, standby.base); !bytes.Equal(got, ref) {
 		t.Fatalf("post-takeover placement differs:\n got %s\nwant %s", got, ref)
 	}

@@ -244,7 +244,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	refSnapshot := func(upTo int) []byte {
 		t.Helper()
 		for ; refFed < upTo; refFed++ {
-			if err := refSess.Submit(context.Background(), in.Jobs[refFed]); err != nil {
+			if _, err := refSess.SubmitBatch(context.Background(), in.Jobs[refFed:refFed+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -341,7 +341,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	if err := json.Unmarshal(body, &closed); err != nil || closed.Result == nil {
 		t.Fatalf("close response %s: %v", body, err)
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

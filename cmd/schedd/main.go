@@ -7,7 +7,7 @@
 // Usage:
 //
 //	schedd [-addr :8080] [-shards 16] [-max-sessions 1024]
-//	       [-max-backlog 256] [-apply-batch 0] [-shed-after 2s]
+//	       [-max-backlog 256] [-shed-after 2s]
 //	       [-drain-timeout 30s] [-data-dir ""] [-fsync-interval 5ms]
 //	       [-checkpoint-every 4096] [-wal-segment-bytes 4194304] [-pprof]
 //
@@ -205,7 +205,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	shards := fs.Int("shards", 16, "session map shards (rounded up to a power of two)")
 	maxSessions := fs.Int("max-sessions", 1024, "admission limit on live sessions")
 	maxBacklog := fs.Int("max-backlog", 256, "per-session arrival queue bound")
-	applyBatch := fs.Int("apply-batch", 0, "max arrivals applied per batch (0 = drain everything queued)")
 	shedAfter := fs.Duration("shed-after", 2*time.Second, "full-backlog stall budget before a submit sheds with 429 + Retry-After (0 blocks forever)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
 	dataDir := fs.String("data-dir", "", "write-ahead log directory; empty runs without durability")
@@ -239,8 +238,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	cfg := serve.Config{
 		Shards: *shards, MaxSessions: *maxSessions,
-		MaxBacklog: *maxBacklog, MaxApplyBatch: *applyBatch,
-		ShedAfter: *shedAfter,
+		MaxBacklog: *maxBacklog, ShedAfter: *shedAfter,
 	}
 	var store *wal.Store
 	if *dataDir != "" {

@@ -3,7 +3,7 @@
 // lost responses, mid-stream stalls, truncated requests, early
 // resets) against a durable daemon that is SIGKILLed mid-run must
 // still deliver every tenant's final Result byte-identical to the
-// uninterrupted ReplayAllSpec reference — the exactly-once contract
+// uninterrupted replay reference — the exactly-once contract
 // of ISSUE 10 at the binary level. Zero duplicate applications is
 // pinned by the differential itself: a single re-applied batch would
 // shift energy, cost or rejections away from the replay.
@@ -152,7 +152,7 @@ func TestEndToEndNetworkChaos(t *testing.T) {
 		if tr.Result == nil {
 			t.Fatalf("tenant %s: no result", tr.ID)
 		}
-		want, err := engine.ReplayAllSpec([]*job.Instance{tr.Instance}, spec, 1)
+		want, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{tr.Instance}, spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,9 +13,10 @@
 // (internal/yds), the Chan-Lam-Li profitable baseline (internal/cll),
 // offline reference solvers (internal/opt), the registry-driven
 // concurrent replay engine (internal/engine: New(Spec) resolves any
-// registered policy, Replay/Race/ReplayAll drive traces over the
-// bounded worker pool in internal/pool, and truly-online OA/AVR/qOA
-// sessions expose per-arrival state), the experiment harness
+// registered policy, Replay drives one trace, Registry.Race and
+// Registry.ReplayAll fan traces over the bounded worker pool in
+// internal/pool, and truly-online OA/AVR/qOA sessions expose
+// per-arrival state), the experiment harness
 // (internal/experiments) that regenerates every table and figure of the
 // reproduction, and a serving stack: internal/serve hosts live
 // streaming sessions for many tenants behind cmd/schedd's HTTP API,

@@ -75,7 +75,7 @@ func (n *naive) Close() (*sched.Schedule, error) {
 func main() {
 	// Registering the policy by name makes it a first-class citizen of
 	// the engine: it is constructible via engine.New(Spec), raceable
-	// via RaceSpecs, listed by `profsched -list`-style tables, and the
+	// via Registry.Race, listed by `profsched -list`-style tables, and the
 	// registry refuses specs outside its declared capabilities.
 	err := engine.Register(engine.Registration{
 		Name:    "naive-greedy",
@@ -90,7 +90,7 @@ func main() {
 	}
 
 	in := workload.Poisson(workload.Config{N: 60, M: 1, Alpha: 2, Seed: 99, ValueScale: 1.5})
-	results, err := engine.RaceSpecs(in,
+	results, err := engine.DefaultRegistry().Race(in,
 		engine.Spec{Name: "naive-greedy", M: 1, Alpha: 2},
 		engine.Spec{Name: "pd", M: 1, Alpha: 2},
 	)

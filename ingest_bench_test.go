@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -18,36 +17,22 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkServeIngest measures the serving daemon's ingest ceiling
-// through the full HTTP stack: one POST of an n-line NDJSON arrival
-// stream into a live oa session, timed end to end (session create and
-// close/verify excluded). Two arms share the stack:
+// BenchmarkServeIngest measures ingest through the full HTTP stack:
+// one POST of an n-line NDJSON arrival stream into a live oa session,
+// timed end to end (session create and close/verify excluded). Two
+// arms share the stack:
 //
-//   - batched: the shipping path — pooled zero-allocation NDJSON
-//     decoder, slice-batch submits, batch-draining applier with
-//     coalesced replans.
+//   - batched: pooled zero-allocation NDJSON decoder, slice-batch
+//     submits, batch-draining applier with coalesced replans.
 //   - durable: the batched path over a write-ahead log — every drained
 //     batch appended and CRC-framed before it is applied, the final
-//     ack held for the group fsync. The batched/durable ratio is the
-//     price of durability (the PR 7 claim: durable ingest keeps ≥50%
-//     of the WAL-off arrivals/sec). Checkpointing is off so the arm
+//     ack held for the group fsync. Checkpointing is off so the arm
 //     measures the append+fsync path, not compaction policy.
-//   - dedup: the durable path with exactly-once stamping — the request
-//     carries X-Producer-Id/X-Producer-Seq, so the whole body decodes
-//     up front, admits atomically as one stamped batch, lands in the
-//     WAL as one stamped record, and the ack waits on that batch's
-//     exact position. The dedup/durable ratio is the price of the
-//     idempotence window (the PR 10 claim: stamped ingest keeps ≥90%
-//     of the plain durable arrivals/sec).
-//   - unbatched: the pre-batching reference path — reflective
-//     json.Decoder per line, one Submit per job, one lock/replan per
-//     arrival (MaxApplyBatch 1), the ingest loop exactly as it shipped
-//     before the batched rework.
 //
-// The committed perf trajectory (BENCH_pr10.json) records all four, so
-// the batched/unbatched ratio — PR 5's ≥5× arrivals/sec claim — the
-// durability tax and the stamping tax are visible in one run,
-// alongside allocs/arrival through the stack.
+// Both use a 4096-slot ring where schedd defaults to 256. Stamped
+// (exactly-once) ingest is measured as it ships by bash
+// perfbench/run.sh, and its allocations are pinned by
+// serve.TestStampedIngestAllocsPerRequest.
 func BenchmarkServeIngest(b *testing.B) {
 	for _, n := range []int{100_000} {
 		in := workload.HeavyTail(workload.Config{
@@ -56,8 +41,7 @@ func BenchmarkServeIngest(b *testing.B) {
 		// Quantize arrival times to tick granularity (~10 arrivals per
 		// tick), the shape of any high-rate stream with timestamped
 		// admission: release ties are what the batched path's replan
-		// coalescing is designed for, and what the per-arrival
-		// reference path cannot exploit.
+		// coalescing is designed for.
 		for i := range in.Jobs {
 			in.Jobs[i].Release = math.Floor(in.Jobs[i].Release)
 		}
@@ -69,13 +53,10 @@ func BenchmarkServeIngest(b *testing.B) {
 		}
 		spec := `{"id":%q,"spec":{"name":"oa","m":1,"alpha":2}}`
 
-		for _, mode := range []string{"batched", "durable", "dedup", "unbatched"} {
+		for _, mode := range []string{"batched", "durable"} {
 			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
 				cfg := serve.Config{MaxSessions: 16, MaxBacklog: 4096}
-				if mode == "unbatched" {
-					cfg.MaxApplyBatch = 1
-				}
-				if mode == "durable" || mode == "dedup" {
+				if mode == "durable" {
 					st, err := wal.Open(b.TempDir(), wal.Options{FsyncInterval: 5 * time.Millisecond})
 					if err != nil {
 						b.Fatal(err)
@@ -83,29 +64,15 @@ func BenchmarkServeIngest(b *testing.B) {
 					defer st.Close()
 					cfg.WAL = st
 				}
-				if mode == "dedup" {
-					// A stamped batch admits atomically, so the ring must
-					// hold the whole request body.
-					cfg.MaxBacklog = n
-				}
-				host := serve.NewHost(cfg)
-				handler := serve.NewHandler(host)
-				if mode == "unbatched" {
-					handler = withReferenceIngest(host, handler)
-				}
-				srv := httptest.NewServer(handler)
+				srv := httptest.NewServer(serve.NewHandler(serve.NewHost(cfg)))
 				defer srv.Close()
 				client := srv.Client()
 
-				do := func(method, path string, body io.Reader, want int, stamped bool) {
+				do := func(method, path string, body io.Reader, want int) {
 					b.Helper()
 					req, err := http.NewRequest(method, srv.URL+path, body)
 					if err != nil {
 						b.Fatal(err)
-					}
-					if stamped {
-						req.Header.Set("X-Producer-Id", "bench")
-						req.Header.Set("X-Producer-Seq", "1")
 					}
 					resp, err := client.Do(req)
 					if err != nil {
@@ -125,16 +92,14 @@ func BenchmarkServeIngest(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					id := fmt.Sprintf("t%d", i)
-					do("POST", "/v1/sessions", bytes.NewReader([]byte(fmt.Sprintf(spec, id))), http.StatusCreated, false)
+					do("POST", "/v1/sessions", bytes.NewReader([]byte(fmt.Sprintf(spec, id))), http.StatusCreated)
 					runtime.ReadMemStats(&m1)
 					b.StartTimer()
-					// Each iteration is a fresh session, so the stamped
-					// arm's producer window restarts at seq 1.
-					do("POST", "/v1/sessions/"+id+"/arrivals", bytes.NewReader(body), http.StatusOK, mode == "dedup")
+					do("POST", "/v1/sessions/"+id+"/arrivals", bytes.NewReader(body), http.StatusOK)
 					b.StopTimer()
 					runtime.ReadMemStats(&m2)
 					mallocs += m2.Mallocs - m1.Mallocs
-					do("DELETE", "/v1/sessions/"+id, nil, http.StatusOK, false)
+					do("DELETE", "/v1/sessions/"+id, nil, http.StatusOK)
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arrival")
@@ -144,114 +109,5 @@ func BenchmarkServeIngest(b *testing.B) {
 				b.ReportMetric(float64(mallocs)/float64(b.N*n), "allocs/arrival")
 			})
 		}
-
-		// mc: the multi-core arm — several tenants ingest concurrently at
-		// GOMAXPROCS 1, 4 and 16, so the per-tenant streams contend on the
-		// host's shared metrics. This is the arm that would expose
-		// cache-line false sharing on the hot counters: with the striped,
-		// cache-line-padded histogram and backlog cells, aggregate
-		// arrivals/sec should not collapse as cores grow. (On a smaller
-		// machine the higher arms run oversubscribed; the numbers are
-		// honest for the hardware.)
-		tenantBodies := make([][]byte, 4)
-		for t := range tenantBodies {
-			tenantBodies[t] = body
-		}
-		for _, cores := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("mc/cores=%d/n=%d", cores, n), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(cores)
-				defer runtime.GOMAXPROCS(prev)
-				host := serve.NewHost(serve.Config{MaxSessions: 16, MaxBacklog: 4096})
-				srv := httptest.NewServer(serve.NewHandler(host))
-				defer srv.Close()
-				client := srv.Client()
-				do := func(method, path string, body io.Reader, want int) error {
-					req, err := http.NewRequest(method, srv.URL+path, body)
-					if err != nil {
-						return err
-					}
-					resp, err := client.Do(req)
-					if err != nil {
-						return err
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != want {
-						return fmt.Errorf("%s %s: %s", method, path, resp.Status)
-					}
-					return nil
-				}
-				tenants := len(tenantBodies)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					ids := make([]string, tenants)
-					for t := range ids {
-						ids[t] = fmt.Sprintf("mc%d-%d", i, t)
-						if err := do("POST", "/v1/sessions", bytes.NewReader([]byte(fmt.Sprintf(spec, ids[t]))), http.StatusCreated); err != nil {
-							b.Fatal(err)
-						}
-					}
-					errc := make(chan error, tenants)
-					b.StartTimer()
-					for t := range ids {
-						go func(t int) {
-							errc <- do("POST", "/v1/sessions/"+ids[t]+"/arrivals",
-								bytes.NewReader(tenantBodies[t]), http.StatusOK)
-						}(t)
-					}
-					for t := 0; t < tenants; t++ {
-						if err := <-errc; err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					for _, id := range ids {
-						if err := do("DELETE", "/v1/sessions/"+id, nil, http.StatusOK); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StartTimer()
-				}
-				total := b.N * n * tenants
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/arrival")
-				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "arrivals/sec")
-			})
-		}
 	}
-}
-
-// withReferenceIngest overrides the arrivals route with the pre-PR
-// ingest loop: reflective JSON decoding and one queue submit per
-// arrival. Everything else falls through to the shipping handler.
-func withReferenceIngest(h *serve.Host, fallthru http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", fallthru)
-	mux.HandleFunc("POST /v1/sessions/{id}/arrivals", func(w http.ResponseWriter, r *http.Request) {
-		s, err := h.Get(r.PathValue("id"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		accepted := 0
-		dec := json.NewDecoder(r.Body)
-		for {
-			var j job.Job
-			if err := dec.Decode(&j); err == io.EOF {
-				break
-			} else if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if err := s.Submit(r.Context(), j); err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			accepted++
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"id": s.ID, "accepted": accepted})
-	})
-	return mux
 }

@@ -265,7 +265,7 @@ func TestClusterMigrationDifferential(t *testing.T) {
 	if closed.Result == nil {
 		t.Fatal("close relayed no result")
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

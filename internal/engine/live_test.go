@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -24,7 +25,7 @@ func TestLiveMatchesReplay(t *testing.T) {
 			continue // exponential; 40 jobs is out of reach
 		}
 		spec := Spec{Name: name, M: 1, Alpha: in.Alpha}
-		batch, err := ReplayAllSpec([]*job.Instance{in}, spec, 1)
+		batch, err := DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 		if err != nil {
 			t.Fatalf("%s: replay: %v", name, err)
 		}
@@ -228,6 +229,47 @@ func TestLiveArriveSteadyStateAllocFree(t *testing.T) {
 	}
 	if _, err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestSessionPerArrivalStaysFlat is the accidental-quadratic guard of
+// the truly-online sessions: the per-arrival cost that
+// BenchmarkSessionPerArrival reports must not grow with the session's
+// age. Both sizes replay the benchmark's heavy-tail trace (horizon
+// n/10, so the live backlog does not grow with n); n=1e4 may cost at
+// most 4× per arrival what n=1e3 costs, taking the best of up to
+// three runs per size so one descheduled run cannot fail it. A
+// per-arrival scan of the history would cost 10×.
+func TestSessionPerArrivalStaysFlat(t *testing.T) {
+	traces := map[int]*job.Instance{}
+	for _, n := range []int{1_000, 10_000} {
+		in := workload.HeavyTail(workload.Config{
+			N: n, M: 1, Alpha: 2, Seed: 17, Horizon: float64(n) / 10, ValueScale: math.Inf(1),
+		})
+		in.Normalize()
+		traces[n] = in
+	}
+	perArrival := func(spec Spec, in *job.Instance) time.Duration {
+		p := mustNew(t, spec)
+		start := time.Now()
+		for _, j := range in.Jobs {
+			if err := p.Arrive(j); err != nil {
+				t.Fatalf("%s n=%d: %v", spec.Name, len(in.Jobs), err)
+			}
+		}
+		return time.Since(start) / time.Duration(len(in.Jobs))
+	}
+	for _, name := range []string{"oa", "avr", "qoa"} {
+		spec := Spec{Name: name, M: 1, Alpha: 2}
+		small, large := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for run := 0; run < 3 && (run == 0 || large > 4*small); run++ {
+			small = min(small, perArrival(spec, traces[1_000]))
+			large = min(large, perArrival(spec, traces[10_000]))
+		}
+		t.Logf("%s: %v/arrival at n=1e3, %v at n=1e4", name, small, large)
+		if large > 4*small {
+			t.Errorf("%s: %v per arrival at n=1e4 is more than 4× the %v at n=1e3", name, large, small)
+		}
 	}
 }
 

@@ -1,10 +1,8 @@
-// Concurrent replay: Race fans one trace across many policies and
-// ReplayAll fans many traces across a bounded worker pool. Every run
-// works on its own clone of the instance (Replay clones), and ReplayAll
-// builds a fresh policy per trace through the Factory; Race requires
-// the caller to pass distinct policy values, since policies are
-// stateful. With that isolation results are byte-identical to the
-// sequential path.
+// Concurrent replay: Race fans one trace across many specs and
+// ReplayAll fans many traces of one spec across a bounded worker pool.
+// Every run builds a fresh policy from the registry (policies are
+// stateful) and works on its own clone of the instance (Replay
+// clones), so results are byte-identical to the sequential path.
 
 package engine
 
@@ -14,24 +12,24 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/pool"
-	"repro/internal/sched"
 )
 
-// Factory constructs a fresh Policy for one isolated run. Policies are
-// stateful (they accumulate arrivals), so concurrent replays must not
-// share one instance; the factory is invoked once per trace.
-type Factory func() Policy
-
-// Race replays the same instance through every policy concurrently and
-// returns the results in the order the policies were given. Each
-// policy runs against its own clone of the instance; the policies
-// themselves must be distinct values (they are stateful — do not pass
-// the same Policy twice or reuse one across calls). Failed policies
-// leave a nil slot; their errors come back joined, each labelled with
-// the policy's name.
-func Race(in *job.Instance, policies ...Policy) ([]*Result, error) {
+// Race replays the instance through a fresh policy per spec
+// concurrently and returns the results in spec order. Unknown or
+// incompatible specs and an invalid instance fail before anything
+// runs. Failed replays leave a nil slot; their errors come back
+// joined, each labelled with the policy's name.
+func (r *Registry) Race(in *job.Instance, specs ...Spec) ([]*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
+	}
+	policies := make([]Policy, len(specs))
+	for i, spec := range specs {
+		p, err := r.New(spec)
+		if err != nil {
+			return nil, err
+		}
+		policies[i] = p
 	}
 	results := make([]*Result, len(policies))
 	err := pool.Run(len(policies), 0, func(i int) error {
@@ -45,90 +43,28 @@ func Race(in *job.Instance, policies ...Policy) ([]*Result, error) {
 	return results, err
 }
 
-// ReplayAll replays every instance through a fresh policy from the
-// factory on at most workers goroutines (≤ 0 means GOMAXPROCS) and
-// returns the results in input order. Errors do not abort the batch:
-// every instance is attempted, failed slots stay nil, and all errors
-// are returned joined, each labelled with its trace index.
-func ReplayAll(instances []*job.Instance, mk Factory, workers int) ([]*Result, error) {
-	return ReplayAllCtx(context.Background(), instances, mk, workers)
-}
-
-// ReplayAllCtx is ReplayAll with cooperative cancellation: once ctx is
-// done no further traces are started (in-flight replays finish and
-// their results are kept), unstarted slots stay nil, and ctx.Err()
-// comes back joined with the per-trace errors. The serving daemon's
-// drain path uses this to abandon queued replays on shutdown.
-func ReplayAllCtx(ctx context.Context, instances []*job.Instance, mk Factory, workers int) ([]*Result, error) {
+// ReplayAll replays every instance through a fresh policy built from
+// the spec on at most workers goroutines (≤ 0 means GOMAXPROCS) and
+// returns the results in input order. The spec is validated once up
+// front, so an incompatible spec fails before any trace runs. Errors
+// do not abort the batch: every instance is attempted, failed slots
+// stay nil, and all errors come back joined, each labelled with its
+// trace index. Once ctx is done no further traces start (in-flight
+// replays finish and keep their results) and ctx's error is joined in.
+func (r *Registry) ReplayAll(ctx context.Context, instances []*job.Instance, spec Spec, workers int) ([]*Result, error) {
+	if err := r.Validate(spec); err != nil {
+		return nil, err
+	}
 	results := make([]*Result, len(instances))
 	err := pool.RunCtx(ctx, len(instances), workers, func(i int) error {
-		res, err := Replay(instances[i], mk())
+		p, err := r.New(spec)
+		if err == nil {
+			results[i], err = Replay(instances[i], p)
+		}
 		if err != nil {
 			return fmt.Errorf("trace %d: %w", i, err)
 		}
-		results[i] = res
 		return nil
 	})
 	return results, err
 }
-
-// RaceSpecs resolves every spec through the registry (fresh, isolated
-// policy per spec) and races them over the instance. Incompatible or
-// unknown specs fail before anything runs.
-func (r *Registry) RaceSpecs(in *job.Instance, specs ...Spec) ([]*Result, error) {
-	policies := make([]Policy, len(specs))
-	for i, spec := range specs {
-		p, err := r.New(spec)
-		if err != nil {
-			return nil, err
-		}
-		policies[i] = p
-	}
-	return Race(in, policies...)
-}
-
-// RaceSpecs races specs resolved through the default registry.
-func RaceSpecs(in *job.Instance, specs ...Spec) ([]*Result, error) {
-	return DefaultRegistry().RaceSpecs(in, specs...)
-}
-
-// ReplayAllSpec replays every instance through a fresh policy built
-// from the spec (the registry is the Factory). The spec is validated
-// once up front so an incompatible spec fails fast instead of once per
-// trace.
-func (r *Registry) ReplayAllSpec(instances []*job.Instance, spec Spec, workers int) ([]*Result, error) {
-	return r.ReplayAllSpecCtx(context.Background(), instances, spec, workers)
-}
-
-// ReplayAllSpecCtx is ReplayAllSpec with cooperative cancellation (see
-// ReplayAllCtx).
-func (r *Registry) ReplayAllSpecCtx(ctx context.Context, instances []*job.Instance, spec Spec, workers int) ([]*Result, error) {
-	if _, err := r.New(spec); err != nil {
-		return nil, err
-	}
-	return ReplayAllCtx(ctx, instances, func() Policy {
-		p, err := r.New(spec)
-		if err != nil {
-			// The up-front build succeeded, so a per-trace failure
-			// means a nondeterministic custom builder; surface it
-			// through the per-trace error path instead of panicking.
-			return &brokenPolicy{name: spec.Name, err: err}
-		}
-		return p
-	}, workers)
-}
-
-// ReplayAllSpec replays a fleet through the default registry.
-func ReplayAllSpec(instances []*job.Instance, spec Spec, workers int) ([]*Result, error) {
-	return DefaultRegistry().ReplayAllSpec(instances, spec, workers)
-}
-
-// brokenPolicy reports a construction error at first use.
-type brokenPolicy struct {
-	name string
-	err  error
-}
-
-func (b *brokenPolicy) Name() string                    { return b.name }
-func (b *brokenPolicy) Arrive(job.Job) error            { return b.err }
-func (b *brokenPolicy) Close() (*sched.Schedule, error) { return nil, b.err }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -45,7 +47,7 @@ func TestReplayAllMatchesSequentialByteForByte(t *testing.T) {
 		sequential = append(sequential, scheduleBytes(t, res))
 	}
 	for _, workers := range []int{1, 3, 8} {
-		results, err := ReplayAll(traces, func() Policy { return mustNew(t, Spec{Name: "pd", M: 2, Alpha: 2}) }, workers)
+		results, err := DefaultRegistry().ReplayAll(context.Background(), traces, Spec{Name: "pd", M: 2, Alpha: 2}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -66,7 +68,7 @@ func TestReplayAllJoinsErrorsAndKeepsSuccesses(t *testing.T) {
 		{ID: 0, Release: 1, Deadline: 0.5, Work: 1, Value: 1}, // deadline before release
 	}}
 	bad2 := &job.Instance{M: 0, Alpha: 2} // no processors
-	results, err := ReplayAll([]*job.Instance{bad1, good, bad2}, func() Policy { return mustNew(t, Spec{Name: "pd", M: 1, Alpha: 2}) }, 2)
+	results, err := DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{bad1, good, bad2}, Spec{Name: "pd", M: 1, Alpha: 2}, 2)
 	if err == nil {
 		t.Fatal("invalid traces must surface an error")
 	}
@@ -81,25 +83,37 @@ func TestReplayAllJoinsErrorsAndKeepsSuccesses(t *testing.T) {
 	}
 }
 
+func TestReplayAllStopsOnCanceledContext(t *testing.T) {
+	fleet := workload.Fleet(workload.Uniform, workload.Config{N: 10, M: 1, Alpha: 2, Seed: 4}, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, err := DefaultRegistry().ReplayAll(ctx, fleet, Spec{Name: "pd", M: 1, Alpha: 2}, 2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled joined in", err)
+	}
+	if len(results) != len(fleet) {
+		t.Fatalf("%d result slots, want %d", len(results), len(fleet))
+	}
+	for i, res := range results {
+		if res != nil {
+			t.Fatalf("trace %d ran after ctx was done", i)
+		}
+	}
+}
+
 func TestRaceMatchesIndividualReplays(t *testing.T) {
 	in := workload.Poisson(workload.Config{N: 20, M: 1, Alpha: 2, Seed: 5, ValueScale: math.Inf(1)})
-	mks := []func() Policy{
-		func() Policy { return mustNew(t, Spec{Name: "pd", M: 1, Alpha: 2}) },
-		func() Policy { return mustNew(t, Spec{Name: "oa", M: 1, Alpha: 2}) },
-		func() Policy { return mustNew(t, Spec{Name: "avr", M: 1, Alpha: 2}) },
-		func() Policy { return mustNew(t, Spec{Name: "qoa", M: 1, Alpha: 2}) },
-		func() Policy { return mustNew(t, Spec{Name: "yds", M: 1, Alpha: 2}) },
+	specs := []Spec{
+		{Name: "pd", M: 1, Alpha: 2}, {Name: "oa", M: 1, Alpha: 2},
+		{Name: "avr", M: 1, Alpha: 2}, {Name: "qoa", M: 1, Alpha: 2},
+		{Name: "yds", M: 1, Alpha: 2},
 	}
-	policies := make([]Policy, len(mks))
-	for i, mk := range mks {
-		policies[i] = mk()
-	}
-	results, err := Race(in, policies...)
+	results, err := DefaultRegistry().Race(in, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, mk := range mks {
-		solo, err := Replay(in, mk())
+	for i, spec := range specs {
+		solo, err := Replay(in, mustNew(t, spec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +133,17 @@ func TestRaceMatchesIndividualReplays(t *testing.T) {
 
 func TestRacePropagatesPolicyErrorsByName(t *testing.T) {
 	in := workload.Uniform(workload.Config{N: 8, M: 1, Alpha: 2, Seed: 6})
-	results, err := Race(in, mustNew(t, Spec{Name: "pd", M: 1, Alpha: 2}), failingPolicy{})
+	reg := newBuiltinRegistry()
+	if err := reg.Register(Registration{
+		Name:    "broken",
+		Summary: "test policy that emits an infeasible schedule",
+		Caps:    Caps{MinM: 1, Profit: true},
+		Build:   func(Spec) (Policy, error) { return failingPolicy{}, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pd := Spec{Name: "pd", M: 1, Alpha: 2}
+	results, err := reg.Race(in, pd, Spec{Name: "broken", M: 1, Alpha: 2})
 	if err == nil {
 		t.Fatal("broken policy must fail the race")
 	}
@@ -130,7 +154,7 @@ func TestRacePropagatesPolicyErrorsByName(t *testing.T) {
 		t.Fatalf("want PD result and nil broken slot, got %v / %v", results[0], results[1])
 	}
 	invalid := &job.Instance{M: 0, Alpha: 2}
-	if _, err := Race(invalid, mustNew(t, Spec{Name: "pd", M: 1, Alpha: 2})); err == nil {
+	if _, err := reg.Race(invalid, pd); err == nil {
 		t.Fatal("invalid instance must be rejected before racing")
 	}
 }
@@ -151,16 +175,17 @@ func TestReplayAllParallelSpeedup(t *testing.T) {
 	fleet := workload.Fleet(workload.HeavyTail, workload.Config{
 		N: 400, M: 1, Alpha: 2, Seed: 21, ValueScale: math.Inf(1),
 	}, 8)
-	mk := func() Policy { return mustNew(t, Spec{Name: "oa", M: 1, Alpha: 2}) }
+	spec := Spec{Name: "oa", M: 1, Alpha: 2}
+	ctx := context.Background()
 
 	start := time.Now()
-	seqResults, err := ReplayAll(fleet, mk, 1)
+	seqResults, err := DefaultRegistry().ReplayAll(ctx, fleet, spec, 1)
 	seq := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	parResults, err := ReplayAll(fleet, mk, 4)
+	parResults, err := DefaultRegistry().ReplayAll(ctx, fleet, spec, 4)
 	par := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -206,7 +207,7 @@ func TestRaceSpecsMatchesIndividualNew(t *testing.T) {
 		{Name: "oa", M: 1, Alpha: 2},
 		{Name: "yds", M: 1, Alpha: 2},
 	}
-	results, err := RaceSpecs(in, specs...)
+	results, err := DefaultRegistry().Race(in, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestRaceSpecsMatchesIndividualNew(t *testing.T) {
 			t.Fatalf("%s: raced result diverges from solo replay", spec.Name)
 		}
 	}
-	if _, err := RaceSpecs(in, Spec{Name: "cll", M: 4, Alpha: 2}); err == nil {
+	if _, err := DefaultRegistry().Race(in, Spec{Name: "cll", M: 4, Alpha: 2}); err == nil {
 		t.Fatal("incompatible spec must fail the race up front")
 	}
 }
@@ -228,7 +229,8 @@ func TestReplayAllSpec(t *testing.T) {
 	fleet := workload.Fleet(workload.Uniform, workload.Config{
 		N: 12, M: 1, Alpha: 2, Seed: 9, ValueScale: math.Inf(1),
 	}, 4)
-	results, err := ReplayAllSpec(fleet, Spec{Name: "oa", M: 1, Alpha: 2}, 2)
+	ctx := context.Background()
+	results, err := DefaultRegistry().ReplayAll(ctx, fleet, Spec{Name: "oa", M: 1, Alpha: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestReplayAllSpec(t *testing.T) {
 			t.Fatalf("trace %d: %+v", i, res)
 		}
 	}
-	if _, err := ReplayAllSpec(fleet, Spec{Name: "oa", M: 3, Alpha: 2}, 2); err == nil {
+	if _, err := DefaultRegistry().ReplayAll(ctx, fleet, Spec{Name: "oa", M: 3, Alpha: 2}, 2); err == nil {
 		t.Fatal("incompatible spec must fail before the fleet runs")
 	}
 }

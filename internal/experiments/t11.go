@@ -43,7 +43,7 @@ func T11PolicyRace(sc Scale) (*stats.Table, error) {
 	maxPlan := make(map[string]time.Duration)
 	order := make([]string, 0, len(specs))
 	for _, in := range fleet {
-		results, err := engine.RaceSpecs(in, specs...)
+		results, err := engine.DefaultRegistry().Race(in, specs...)
 		if err != nil {
 			return nil, fmt.Errorf("T11: %w", err)
 		}
@@ -66,7 +66,7 @@ func T11PolicyRace(sc Scale) (*stats.Table, error) {
 	}
 
 	t := &stats.Table{
-		Title:   "T11: policy race over a heavy-tailed fleet (engine.RaceSpecs, finish-all, α = 2)",
+		Title:   "T11: policy race over a heavy-tailed fleet (Registry.Race, finish-all, α = 2)",
 		Headers: []string{"policy", "mode", "traces", "E/OPT(geo)", "E/OPT(max)", "E/OPT(min)", "max arrive", "plan(max)", "bound α^α"},
 		Notes: []string{
 			"each trace is replayed by all policies concurrently with per-run isolation;",

@@ -301,6 +301,9 @@ type tenantClient struct {
 	rc   *client.Client
 	dups *atomic.Uint64 // run-wide deduped-ack counter
 	seq  uint64         // producer sequence; next batch is seq+1
+	// fit caps a stamped request's length once the daemon has refused
+	// a longer one with 413; 0 means no cap.
+	fit  int
 	body []byte
 }
 
@@ -368,45 +371,66 @@ func (tc *tenantClient) create(ctx context.Context) error {
 	return err
 }
 
-// postBatch delivers one NDJSON request of arrivals and charges each
-// its amortized share of the round trip. Unless Unstamped, the batch
+// postBatch delivers a batch of arrivals and charges each its
+// amortized share of the round trip. Unless Unstamped, each request
 // carries the tenant's producer stamp, so a retried delivery (lost
 // ack, duplicated connection) is suppressed server-side and acked
-// deduped — which this client counts but treats as success.
+// deduped — which this client counts but treats as success. A stamped
+// request longer than the daemon's backlog bound (-max-backlog) draws
+// a 413 before the daemon takes its sequence number, so the client
+// halves it and resends under the same sequence; later requests are
+// cut to the size that fit.
 func (tc *tenantClient) postBatch(ctx context.Context, batch []job.Job, hist *stats.Histogram) error {
-	tc.body = tc.body[:0]
-	for _, j := range batch {
-		tc.body = job.AppendJSON(tc.body, j)
-		tc.body = append(tc.body, '\n')
-	}
-	var headers map[string]string
-	if !tc.cfg.Unstamped {
-		tc.seq++
-		headers = map[string]string{
-			"X-Producer-Id":  tc.id,
-			"X-Producer-Seq": strconv.FormatUint(tc.seq, 10),
+	path := "/v1/sessions/" + tc.id + "/arrivals"
+	for len(batch) > 0 {
+		n := len(batch)
+		if tc.fit > 0 {
+			n = min(n, tc.fit)
 		}
-	}
-	t0 := time.Now()
-	raw, err := tc.do(ctx, http.MethodPost, "/v1/sessions/"+tc.id+"/arrivals", tc.body, headers)
-	if err != nil {
-		return err
-	}
-	hist.ObserveN(time.Since(t0).Seconds()/float64(len(batch)), uint64(len(batch)))
-	var ack struct {
-		Accepted int    `json:"accepted"`
-		Deduped  bool   `json:"deduped"`
-		Error    string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &ack); err != nil {
-		return err
-	}
-	if ack.Deduped {
-		tc.dups.Add(1)
-	}
-	if ack.Accepted != len(batch) {
-		return fmt.Errorf("batch partially accepted (%d of %d): job %d: %s",
-			ack.Accepted, len(batch), tc.rejectedJobID(ack.Accepted), ack.Error)
+		tc.body = tc.body[:0]
+		for _, j := range batch[:n] {
+			tc.body = job.AppendJSON(tc.body, j)
+			tc.body = append(tc.body, '\n')
+		}
+		var headers map[string]string
+		if !tc.cfg.Unstamped {
+			headers = map[string]string{
+				"X-Producer-Id":  tc.id,
+				"X-Producer-Seq": strconv.FormatUint(tc.seq+1, 10),
+			}
+		}
+		t0 := time.Now()
+		resp, err := tc.rc.Do(ctx, http.MethodPost, tc.base+path, tc.body, headers)
+		if err != nil {
+			return err
+		}
+		if resp.Status == http.StatusRequestEntityTooLarge && headers != nil && n > 1 {
+			tc.fit = n / 2
+			continue
+		}
+		if headers != nil {
+			tc.seq++
+		}
+		if resp.Status/100 != 2 {
+			return fmt.Errorf("%s %s: status %d: %s", http.MethodPost, path, resp.Status, bytes.TrimSpace(resp.Body))
+		}
+		hist.ObserveN(time.Since(t0).Seconds()/float64(n), uint64(n))
+		var ack struct {
+			Accepted int    `json:"accepted"`
+			Deduped  bool   `json:"deduped"`
+			Error    string `json:"error"`
+		}
+		if err := json.Unmarshal(resp.Body, &ack); err != nil {
+			return err
+		}
+		if ack.Deduped {
+			tc.dups.Add(1)
+		}
+		if ack.Accepted != n {
+			return fmt.Errorf("batch partially accepted (%d of %d): job %d: %s",
+				ack.Accepted, n, tc.rejectedJobID(ack.Accepted), ack.Error)
+		}
+		batch = batch[n:]
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/job"
+	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -242,6 +244,67 @@ func TestRunAgainstStubDaemon(t *testing.T) {
 		if tr.Arrivals != jobsPerTenant {
 			t.Fatalf("tenant %d delivered %d arrivals, want %d", i, tr.Arrivals, jobsPerTenant)
 		}
+	}
+}
+
+// TestRunBatchLargerThanDefaultBacklog pins `loadgen -batch 512`
+// against a daemon on default flags: a stamped batch longer than the
+// backlog bound draws a 413 without using up its sequence number, the
+// client halves it under the same sequence, and every arrival is still
+// applied exactly once. The later cases take more than one halving.
+func TestRunBatchLargerThanDefaultBacklog(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		batch, maxBacklog int
+	}{
+		{"batch512", 512, 0},
+		{"batch1024", 1024, 0},
+		{"batch512-backlog100", 512, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := serve.NewHost(serve.Config{MaxBacklog: tc.maxBacklog})
+			srv := httptest.NewServer(serve.NewHandler(h))
+			defer srv.Close()
+
+			const tenants, jobsPerTenant = 2, 1500
+			spec := engine.Spec{Name: "oa", M: 1, Alpha: 2}
+			rep, err := Run(context.Background(), Config{
+				BaseURL:  srv.URL,
+				Client:   srv.Client(),
+				Spec:     spec,
+				Workload: workload.Config{N: jobsPerTenant, Seed: 5, ValueScale: math.Inf(1)},
+				Tenants:  tenants,
+				Batch:    tc.batch,
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if rep.Arrivals != tenants*jobsPerTenant {
+				t.Fatalf("delivered %d arrivals, want %d", rep.Arrivals, tenants*jobsPerTenant)
+			}
+			if got := h.Metrics().Arrivals(); got != tenants*jobsPerTenant {
+				t.Fatalf("daemon applied %d arrivals, want %d", got, tenants*jobsPerTenant)
+			}
+			if rep.DupsSuppressed != 0 || h.Metrics().DedupSuppressed() != 0 {
+				t.Fatalf("halving replayed a sequence: %d deduped acks, %d suppressed",
+					rep.DupsSuppressed, h.Metrics().DedupSuppressed())
+			}
+			mask := func(r *engine.Result) []byte {
+				cp := *r
+				cp.MaxArrive, cp.TotalArrive, cp.PlanTime = 0, 0, 0
+				b, _ := json.Marshal(&cp)
+				return b
+			}
+			for i, tr := range rep.Results {
+				want, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{tr.Instance}, spec, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(mask(tr.Result), mask(want[0])) {
+					t.Fatalf("tenant %d: served result differs from replay of its trace", i)
+				}
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ func TestSubmitStampedDedupWindow(t *testing.T) {
 
 func TestSubmitStampedShedsUnderOverload(t *testing.T) {
 	reg, gate := blockingRegistry(t)
-	h := NewHost(Config{MaxBacklog: 2, Registry: reg, MaxApplyBatch: 1, ShedAfter: 30 * time.Millisecond})
+	h := NewHost(Config{MaxBacklog: 2, Registry: reg, ShedAfter: 30 * time.Millisecond})
 	s, err := h.Create("shed", engine.Spec{Name: "blocking", M: 1, Alpha: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -94,16 +94,12 @@ func TestSubmitStampedShedsUnderOverload(t *testing.T) {
 		t.Fatalf("ErrTooLarge status = %d, want 413", statusOf(ErrTooLarge))
 	}
 	// Park the applier in Arrive and fill the queue.
-	for i := 0; i < 3; i++ {
-		if err := s.Submit(ctx, stampJobs(i, 1)[0]); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
+	parkApplier(t, s, stampJobs(0, 1)[0])
+	if _, err := s.SubmitBatch(ctx, stampJobs(1, 2)); err != nil {
+		t.Fatalf("fill: %v", err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.Backlog() != 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog = %d, want 2", s.Backlog())
-		}
-		time.Sleep(time.Millisecond)
+	if s.Backlog() != 2 {
+		t.Fatalf("backlog = %d, want 2", s.Backlog())
 	}
 	// Full past the shed deadline: degrade with ErrOverloaded (429 +
 	// Retry-After upstairs) instead of stalling forever.
@@ -223,7 +219,7 @@ func TestStampedWindowSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +308,7 @@ func TestWaitDurableCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +375,7 @@ func TestStampedWindowSurvivesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/job"
 	"repro/internal/pool"
-	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -52,12 +51,6 @@ type Config struct {
 	// MaxBacklog bounds each session's queued-but-unapplied arrivals;
 	// submits beyond it block (default 256).
 	MaxBacklog int
-	// MaxApplyBatch caps how many queued arrivals the applier hands to
-	// the engine per wakeup; 0 (the default) drains everything queued.
-	// Lowering it trades ingest throughput for finer-grained metrics
-	// and backpressure — the serve benchmarks use 1 to measure the
-	// unbatched reference path.
-	MaxApplyBatch int
 	// Registry resolves session specs (default engine.DefaultRegistry).
 	Registry *engine.Registry
 	// WAL, when non-nil, makes every session durable: the applier logs
@@ -134,11 +127,8 @@ type Host struct {
 	shards  []shard
 	metrics *Metrics
 	// backlog aggregates every session queue's depth so the /metrics
-	// scrape never walks the shards. It is sharded into cache-line
-	// padded cells — each session's queue writes through its own
-	// stripe's cell — so concurrent appliers on different cores do not
-	// contend on one gauge line.
-	backlog *stats.ShardedInt64
+	// scrape never walks the shards.
+	backlog atomic.Int64
 
 	mu       sync.Mutex //schedlint:nocallout admission: live count + draining flag
 	live     int
@@ -165,7 +155,6 @@ func NewHost(cfg Config) *Host {
 		cfg: cfg, reg: cfg.Registry,
 		shards:  make([]shard, cfg.Shards),
 		metrics: newMetrics(),
-		backlog: stats.NewShardedInt64(stats.HistStripes),
 	}
 	for i := range h.shards {
 		h.shards[i].sessions = make(map[string]*Session)
@@ -219,16 +208,6 @@ func (h *Host) shardOf(id string) *shard {
 	return &h.shards[f.Sum32()&uint32(len(h.shards)-1)]
 }
 
-// stripeOf maps a tenant onto a metrics stripe: stable per tenant (a
-// recovered or migrated session lands on the same stripe), spread by
-// the same hash as the shard map so concurrent appliers write
-// different cache lines.
-func stripeOf(id string) int {
-	f := fnv.New32a()
-	f.Write([]byte(id))
-	return int(f.Sum32())
-}
-
 // Session is one tenant's live run: a bounded arrival ring drained in
 // batches by a dedicated applier goroutine into an engine.Live.
 type Session struct {
@@ -240,9 +219,6 @@ type Session struct {
 	host  *Host
 	queue *arrq
 	done  chan struct{} // applier exited
-	// stripe is the session's stable index into the host's striped hot
-	// counters (latency histogram, backlog cells).
-	stripe int
 
 	closeCh chan struct{} // closed when closing begins; releases parked submitters
 	closed  sync.Once     // guards closeCh
@@ -277,7 +253,7 @@ type Session struct {
 	logged map[string]walWindow
 
 	// err is guarded separately from the run: the applier holds mu for
-	// the whole of a (possibly slow) batch apply, and Submit must be
+	// the whole of a (possibly slow) batch apply, and submits must be
 	// able to fail fast on a recorded error without waiting for it.
 	errMu sync.Mutex
 	err   error // first refused arrival; later submits fail fast with it
@@ -345,13 +321,11 @@ func (h *Host) Create(id string, spec engine.Spec) (*Session, error) {
 			return nil, err
 		}
 	}
-	stripe := stripeOf(id)
 	s := &Session{
 		ID: id, Spec: spec, host: h,
-		queue:     newArrq(h.cfg.MaxBacklog, h.backlog.Cell(stripe)),
+		queue:     newArrq(h.cfg.MaxBacklog, &h.backlog),
 		done:      make(chan struct{}),
 		closeCh:   make(chan struct{}),
-		stripe:    stripe,
 		run:       run,
 		wlog:      wlog,
 		producers: make(map[string]*producer),
@@ -465,8 +439,8 @@ func (h *Host) Detach(ctx context.Context, id string) error {
 }
 
 // Backlog returns the total queued-but-undrained arrivals across all
-// sessions (the /metrics backlog gauge). It sums the sharded gauge's
-// cells — the metrics scrape takes no shard or session lock.
+// sessions (the /metrics backlog gauge). It reads one atomic — the
+// metrics scrape takes no shard or session lock.
 func (h *Host) Backlog() int {
 	if n := h.backlog.Load(); n > 0 {
 		return int(n)
@@ -542,20 +516,19 @@ func (h *Host) Drain(ctx context.Context) ([]DrainResult, error) {
 
 // apply is the session's applier goroutine: it alone feeds the run,
 // so arrival application is serialized per tenant. Each wakeup drains
-// *everything* queued (up to MaxApplyBatch) and applies it as one
-// engine.Live.ApplyBatch call — one lock acquisition, one latency
-// measurement and, for batch-aware policies, one coalesced replan per
-// same-release group, instead of all of those per job. Under load the
+// *everything* queued and applies it as one engine.Live.ApplyBatch
+// call — one lock acquisition, one latency measurement and, for
+// batch-aware policies, one coalesced replan per same-release group,
+// instead of all of those per job. Under load the
 // queue refills while a batch is being applied, so ingest and
 // application pipeline instead of ping-ponging. The applier keeps
 // draining after an error (recording only the first) so that blocked
 // submitters are never stranded on a full queue.
 func (s *Session) apply() {
 	defer close(s.done)
-	max := s.host.cfg.MaxApplyBatch
 	scratch := make([]job.Job, 0, s.host.cfg.MaxBacklog)
 	for {
-		batch, st, done := s.queue.drainTo(scratch[:0], max)
+		batch, st, done := s.queue.drainTo(scratch[:0])
 		if len(batch) > 0 {
 			if s.wlog != nil {
 				// Log the raw drained batch — refusals included, so replay
@@ -586,7 +559,7 @@ func (s *Session) apply() {
 			// Counted before mu is released: a Snapshot that shows
 			// these arrivals applied is then never ahead of the
 			// applied-arrivals counter.
-			s.host.metrics.arrivalsApplied(s.stripe, applied, d)
+			s.host.metrics.arrivalsApplied(applied, d)
 			s.mu.Unlock()
 			if err != nil {
 				s.recordErr(err)
@@ -611,24 +584,14 @@ func (s *Session) recordErr(err error) {
 	s.errMu.Unlock()
 }
 
-// Submit queues one arrival for application. A full queue blocks —
-// that is the backpressure bound MaxBacklog — until space frees, the
-// ctx is done, or the session starts closing. An arrival the policy
-// refused earlier fails all later submits fast with that first error.
-func (s *Session) Submit(ctx context.Context, j job.Job) error {
-	one := [1]job.Job{j}
-	_, err := s.SubmitBatch(ctx, one[:])
-	return err
-}
-
 // SubmitBatch queues a run of arrivals, blocking while the queue is
-// full, and returns how many were queued. It stops early — reporting
-// the queued prefix — when the ctx dies, the session starts closing,
-// or an earlier arrival was refused (fail-fast on the recorded
-// error). The ingest handler decodes up to a batch of NDJSON lines
-// and queues them all under one ring lock here, which with the
-// batch-draining applier makes the per-arrival synchronization cost
-// O(1/batch) instead of O(1).
+// full (the MaxBacklog backpressure bound), and returns how many were
+// queued. It stops early — reporting the queued prefix — when the ctx
+// dies, the session starts closing, or an earlier arrival was refused
+// (fail-fast on the recorded error). The ingest handler decodes up to
+// a batch of NDJSON lines and queues them all under one ring lock
+// here, which with the batch-draining applier makes the per-arrival
+// synchronization cost O(1/batch) instead of O(1).
 func (s *Session) SubmitBatch(ctx context.Context, js []job.Job) (int, error) {
 	queued := 0
 	var shed <-chan time.Time
@@ -671,7 +634,7 @@ func (s *Session) SubmitBatch(ctx context.Context, js []job.Job) (int, error) {
 			}
 			return queued, fmt.Errorf("%w: %q", ErrClosing, s.ID)
 		case <-shed:
-			s.host.metrics.shedRecorded(s.stripe)
+			s.host.metrics.shedRecorded()
 			return queued, fmt.Errorf("%w: %q backlog full for %v", ErrOverloaded, s.ID, s.host.cfg.ShedAfter)
 		}
 	}
@@ -700,7 +663,7 @@ func (s *Session) newProducer(prod string) (*producer, error) {
 		return p, nil
 	}
 	if len(s.producers) >= s.host.cfg.MaxProducers {
-		s.host.metrics.shedRecorded(s.stripe)
+		s.host.metrics.shedRecorded()
 		return nil, fmt.Errorf("%w: %q dedup window full (%d producers)", ErrOverloaded, s.ID, s.host.cfg.MaxProducers)
 	}
 	p := &producer{}
@@ -732,7 +695,7 @@ func (s *Session) SubmitStamped(ctx context.Context, prod string, seq uint64, js
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if seq <= p.seq {
-		s.host.metrics.dedupSuppressed(s.stripe)
+		s.host.metrics.dedupSuppressed()
 		return p.accepted, p.pos, true, nil
 	}
 	if seq != p.seq+1 {
@@ -782,7 +745,7 @@ func (s *Session) SubmitStamped(ctx context.Context, prod string, seq uint64, js
 			}
 			return 0, 0, false, fmt.Errorf("%w: %q", ErrClosing, s.ID)
 		case <-shed:
-			s.host.metrics.shedRecorded(s.stripe)
+			s.host.metrics.shedRecorded()
 			return 0, 0, false, fmt.Errorf("%w: %q backlog full for %v", ErrOverloaded, s.ID, s.host.cfg.ShedAfter)
 		}
 	}

@@ -16,11 +16,17 @@ import (
 	"repro/internal/workload"
 )
 
+// submit queues one arrival.
+func submit(ctx context.Context, s *Session, j job.Job) error {
+	_, err := s.SubmitBatch(ctx, []job.Job{j})
+	return err
+}
+
 // feed streams an instance's jobs into the session in release order.
 func feed(t testing.TB, s *Session, in *job.Instance) {
 	t.Helper()
 	if err := workload.NewStream(in, 0).Play(context.Background(), func(j job.Job) error {
-		return s.Submit(context.Background(), j)
+		return submit(context.Background(), s, j)
 	}); err != nil {
 		t.Fatalf("feeding %s: %v", s.ID, err)
 	}
@@ -51,7 +57,7 @@ func TestHostServesAndMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	want, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +218,22 @@ func (p *blockingPolicy) Close() (*sched.Schedule, error) {
 	return &sched.Schedule{M: 1, Rejected: p.ids}, nil
 }
 
+// parkApplier submits j and waits until the applier has drained it,
+// so a blocking policy holds the applier in Arrive and every later
+// submit lands in the queue.
+func parkApplier(t *testing.T, s *Session, j job.Job) {
+	t.Helper()
+	if err := submit(context.Background(), s, j); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.Backlog() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("applier never took the first arrival")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // blockingRegistry returns a registry hosting the blocking policy and
 // the gate that releases it.
 func blockingRegistry(t *testing.T) (*engine.Registry, chan struct{}) {
@@ -231,10 +253,7 @@ func blockingRegistry(t *testing.T) (*engine.Registry, chan struct{}) {
 
 func TestSessionBackpressureBlocksAndHonoursContext(t *testing.T) {
 	reg, gate := blockingRegistry(t)
-	// MaxApplyBatch 1 pins the applier to one job per wakeup so the
-	// backlog settles at a deterministic level; the batched drain has
-	// its own tests below.
-	h := NewHost(Config{MaxBacklog: 2, Registry: reg, MaxApplyBatch: 1})
+	h := NewHost(Config{MaxBacklog: 2, Registry: reg})
 	s, err := h.Create("slow", engine.Spec{Name: "blocking", M: 1, Alpha: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -243,23 +262,19 @@ func TestSessionBackpressureBlocksAndHonoursContext(t *testing.T) {
 		return job.Job{ID: id, Release: float64(id), Deadline: float64(id) + 1, Work: 1, Value: 1}
 	}
 	// Arrival 0 parks the applier in Arrive; 1 and 2 fill the queue.
-	for i := 0; i < 3; i++ {
-		if err := s.Submit(context.Background(), mk(i)); err != nil {
+	parkApplier(t, s, mk(0))
+	for i := 1; i < 3; i++ {
+		if err := submit(context.Background(), s, mk(i)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	// The applier dequeues arrival 0 asynchronously; wait for the
-	// backlog to settle at the queue capacity.
-	for deadline := time.Now().Add(5 * time.Second); s.Backlog() != 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog = %d, want 2", s.Backlog())
-		}
-		time.Sleep(time.Millisecond)
+	if s.Backlog() != 2 {
+		t.Fatalf("backlog = %d, want 2", s.Backlog())
 	}
 	// The queue is full: the next submit must block until its ctx dies.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if err := s.Submit(ctx, mk(3)); !errors.Is(err, context.DeadlineExceeded) {
+	if err := submit(ctx, s, mk(3)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("submit into full queue: %v", err)
 	}
 	// Release the policy: everything drains and the close verifies.
@@ -272,7 +287,7 @@ func TestSessionBackpressureBlocksAndHonoursContext(t *testing.T) {
 		t.Fatalf("rejected = %d, want 3", res.Rejected)
 	}
 	// Submitting to a closed session fails fast.
-	if err := s.Submit(context.Background(), mk(9)); !errors.Is(err, ErrClosing) {
+	if err := submit(context.Background(), s, mk(9)); !errors.Is(err, ErrClosing) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
@@ -288,22 +303,14 @@ func TestDrainAbandonsStuckSession(t *testing.T) {
 		return job.Job{ID: id, Release: float64(id), Deadline: float64(id) + 1, Work: 1, Value: 1}
 	}
 	// Arrival 0 parks the applier; arrival 1 fills the 1-slot queue.
-	if err := s.Submit(context.Background(), mk(0)); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); s.Backlog() != 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("applier never picked arrival 0")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Submit(context.Background(), mk(1)); err != nil {
+	parkApplier(t, s, mk(0))
+	if err := submit(context.Background(), s, mk(1)); err != nil {
 		t.Fatal(err)
 	}
 	// A third submitter parks on the full queue (holding the session's
 	// read lock) — the drain below must release it, not deadlock on it.
 	parked := make(chan error, 1)
-	go func() { parked <- s.Submit(context.Background(), mk(2)) }()
+	go func() { parked <- submit(context.Background(), s, mk(2)) }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -380,17 +387,17 @@ func TestSessionArrivalErrorFailsFastAndSurfacesAtClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(context.Background(), job.Job{ID: 0, Release: 5, Deadline: 6, Work: 1, Value: 1}); err != nil {
+	if err := submit(context.Background(), s, job.Job{ID: 0, Release: 5, Deadline: 6, Work: 1, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Out of release order: the applier refuses it asynchronously.
-	if err := s.Submit(context.Background(), job.Job{ID: 1, Release: 1, Deadline: 2, Work: 1, Value: 1}); err != nil {
+	if err := submit(context.Background(), s, job.Job{ID: 1, Release: 1, Deadline: 2, Work: 1, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Eventually later submits fail fast with the recorded error.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := s.Submit(context.Background(), job.Job{ID: 2, Release: 9, Deadline: 10, Work: 1, Value: 1})
+		err := submit(context.Background(), s, job.Job{ID: 2, Release: 9, Deadline: 10, Work: 1, Value: 1})
 		if err != nil {
 			if !strings.Contains(err.Error(), "release order") {
 				t.Fatalf("unexpected submit error: %v", err)
@@ -398,7 +405,7 @@ func TestSessionArrivalErrorFailsFastAndSurfacesAtClose(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("arrival error never surfaced to Submit")
+			t.Fatal("arrival error never surfaced to a submit")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -413,7 +420,7 @@ func TestSessionSnapshotObservesLivePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(context.Background(), job.Job{ID: 0, Release: 0, Deadline: 2, Work: 1, Value: 1}); err != nil {
+	if err := submit(context.Background(), s, job.Job{ID: 0, Release: 0, Deadline: 2, Work: 1, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

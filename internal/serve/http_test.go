@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -166,7 +167,7 @@ func TestHTTPWalkthrough(t *testing.T) {
 	if closed.Result == nil || closed.Result.Schedule == nil {
 		t.Fatalf("closed = %+v", closed)
 	}
-	want, err := engine.ReplayAllSpec([]*job.Instance{in}, engine.Spec{Name: "oa", M: 1, Alpha: 2.2}, 1)
+	want, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, engine.Spec{Name: "oa", M: 1, Alpha: 2.2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +19,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/job"
+	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // mkJob builds a valid arrival with the given id and release.
@@ -208,36 +213,111 @@ func TestConcurrentSubmitCloseRace(t *testing.T) {
 }
 
 // TestIngestBatchedMatchesUnbatched pins the serving differential at
-// the host layer: the same stream through the batch-draining applier
-// and through a MaxApplyBatch=1 (per-job) applier must close to the
-// same schedule bytes.
+// the host layer: a stream of tied releases through the HTTP handler
+// and the batch-draining applier (which coalesces replans per
+// same-release group) must close to the schedule bytes of a one-job-
+// at-a-time engine.Replay of the same trace.
 func TestIngestBatchedMatchesUnbatched(t *testing.T) {
+	in := &job.Instance{M: 1, Alpha: 2}
 	stream := &bytes.Buffer{}
 	for i := 0; i < 500; i++ {
-		stream.Write(ndjsonLine(mkJob(i, float64(i/7))))
+		j := mkJob(i, float64(i/7))
+		in.Jobs = append(in.Jobs, j)
+		stream.Write(ndjsonLine(j))
 	}
-	run := func(cfg Config) *engine.Result {
-		t.Helper()
-		h := NewHost(cfg)
-		srv := httptest.NewServer(NewHandler(h))
-		defer srv.Close()
-		a := &api{t: t, srv: srv}
-		a.do("POST", "/v1/sessions", strings.NewReader(`{"id":"x","spec":{"name":"oa","m":1,"alpha":2}}`), 201, nil)
-		var arr arrivalsResponse
-		a.do("POST", "/v1/sessions/x/arrivals", bytes.NewReader(stream.Bytes()), 200, &arr)
-		if arr.Accepted != 500 {
-			t.Fatalf("accepted = %d", arr.Accepted)
-		}
-		var closed closeResponse
-		a.do("DELETE", "/v1/sessions/x", nil, 200, &closed)
-		return closed.Result
+	srv := httptest.NewServer(NewHandler(NewHost(Config{})))
+	defer srv.Close()
+	a := &api{t: t, srv: srv}
+	a.do("POST", "/v1/sessions", strings.NewReader(`{"id":"x","spec":{"name":"oa","m":1,"alpha":2}}`), 201, nil)
+	var arr arrivalsResponse
+	a.do("POST", "/v1/sessions/x/arrivals", bytes.NewReader(stream.Bytes()), 200, &arr)
+	if arr.Accepted != 500 {
+		t.Fatalf("accepted = %d", arr.Accepted)
 	}
-	batched := run(Config{})
-	unbatched := run(Config{MaxApplyBatch: 1})
-	aj, _ := json.MarshalIndent(maskTimes(batched), "", " ")
-	bj, _ := json.MarshalIndent(maskTimes(unbatched), "", " ")
+	var closed closeResponse
+	a.do("DELETE", "/v1/sessions/x", nil, 200, &closed)
+
+	p, err := engine.New(engine.Spec{Name: "oa", M: 1, Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.Replay(in, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aj, _ := json.MarshalIndent(maskTimes(closed.Result), "", " ")
+	bj, _ := json.MarshalIndent(maskTimes(want), "", " ")
 	if !bytes.Equal(aj, bj) {
-		t.Fatalf("batched and per-job ingest disagree:\n%s\nvs\n%s", aj, bj)
+		t.Fatalf("batched ingest and per-job replay disagree:\n%s\nvs\n%s", aj, bj)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the status, so an
+// allocation count sees the handler's allocations and not a recorder's.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// TestStampedIngestAllocsPerRequest is the allocation guard of the
+// ingest hot path end to end: a stamped 256-line request through
+// NewHandler into a durable host (decode, atomic admission, WAL append,
+// OA apply, durable ack) costs a fixed number of allocations per
+// request, not per arrival. The count is process-wide, so it includes
+// the applier and the WAL syncer goroutines; one allocation per
+// arrival anywhere on that path adds 256 per request.
+func TestStampedIngestAllocsPerRequest(t *testing.T) {
+	const lines, warm, runs = 256, 8, 20
+	store, err := wal.Open(t.TempDir(), wal.Options{FsyncInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	h := NewHost(Config{WAL: store})
+	handler := NewHandler(h)
+	if _, err := h.Create("t", engine.Spec{Name: "oa", M: 1, Alpha: 2}); err != nil {
+		t.Fatal(err)
+	}
+	n := lines * (warm + runs + 1) // AllocsPerRun makes one extra call
+	in := workload.HeavyTail(workload.Config{
+		N: n, M: 1, Alpha: 2, Seed: 17, Horizon: float64(n) / 10, ValueScale: math.Inf(1),
+	})
+	in.Normalize()
+	var reqs []*http.Request
+	for i := 0; i < n; i += lines {
+		var body []byte
+		for _, j := range in.Jobs[i : i+lines] {
+			body = append(job.AppendJSON(body, j), '\n')
+		}
+		r := httptest.NewRequest(http.MethodPost, "/v1/sessions/t/arrivals", bytes.NewReader(body))
+		r.Header.Set("X-Producer-Id", "p")
+		r.Header.Set("X-Producer-Seq", strconv.Itoa(len(reqs)+1))
+		reqs = append(reqs, r)
+	}
+	w := &discardWriter{h: http.Header{}}
+	post := func() {
+		w.status = 0
+		handler.ServeHTTP(w, reqs[0])
+		if w.status != http.StatusOK {
+			t.Fatalf("stamped request answered %d", w.status)
+		}
+		reqs = reqs[1:]
+	}
+	for i := 0; i < warm; i++ {
+		post()
+	}
+	avg := testing.AllocsPerRun(runs, post)
+	if avg > lines/4 {
+		t.Errorf("%.1f allocs per stamped %d-line request (%.3f per arrival), want a per-request constant",
+			avg, lines, avg/lines)
+	}
+	t.Logf("%.1f allocs per stamped %d-line request", avg, lines)
+	if _, err := h.Close("t"); err != nil {
+		t.Fatal(err)
 	}
 }
 

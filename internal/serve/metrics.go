@@ -25,7 +25,7 @@ import (
 )
 
 // Metrics aggregates the host's counters. All methods are safe for
-// concurrent use; the write paths are contention-free.
+// concurrent use; the write paths are lock-free.
 type Metrics struct {
 	start time.Time
 
@@ -34,28 +34,19 @@ type Metrics struct {
 	sessionsClosed atomic.Uint64
 	arrivalErrors  atomic.Uint64
 	refused        atomic.Uint64
-	// latency is the amortized per-arrival apply latency in seconds,
-	// striped across cache-line padded histogram stripes: each session's
-	// applier writes through its own stripe, so many-core ingest never
-	// ping-pongs the count/sum lines between cores. Its Count() is also
-	// the applied-arrivals counter — every applied arrival is observed
-	// exactly once — so there is no separate (contended) arrivals atomic.
-	latency stats.StripedHistogram
+	// latency is the amortized per-arrival apply latency in seconds.
+	// Its Count() is also the applied-arrivals counter — every applied
+	// arrival is observed exactly once — so there is no separate
+	// arrivals atomic.
+	latency stats.AtomicHistogram
 	// dedup counts batches the idempotent-producer window suppressed
 	// (duplicate deliveries acked from the watermark); shed counts
-	// submits degraded with 429 instead of stalling. Both are striped
-	// like the backlog gauge: concurrent tenants write their own cells.
-	dedup *stats.ShardedInt64
-	shed  *stats.ShardedInt64
+	// submits degraded with 429 instead of stalling.
+	dedup atomic.Uint64
+	shed  atomic.Uint64
 }
 
-func newMetrics() *Metrics {
-	return &Metrics{
-		start: time.Now(),
-		dedup: stats.NewShardedInt64(stats.HistStripes),
-		shed:  stats.NewShardedInt64(stats.HistStripes),
-	}
-}
+func newMetrics() *Metrics { return &Metrics{start: time.Now()} }
 
 func (m *Metrics) sessionOpened() {
 	m.sessionsLive.Add(1)
@@ -70,17 +61,17 @@ func (m *Metrics) sessionClosed() {
 func (m *Metrics) admissionRefused() { m.refused.Add(1) }
 
 // arrivalsApplied records a drained batch: n arrivals applied in d of
-// policy time, observed through the session's histogram stripe. Each
-// arrival is charged the batch's amortized per-arrival latency, so the
-// histogram's count stays one entry per arrival (not per batch) and
-// quantiles remain comparable across batch sizes.
+// policy time. Each arrival is charged the batch's amortized
+// per-arrival latency, so the histogram's count stays one entry per
+// arrival (not per batch) and quantiles remain comparable across
+// batch sizes.
 //
 //schedlint:hotpath
-func (m *Metrics) arrivalsApplied(stripe, n int, d time.Duration) {
+func (m *Metrics) arrivalsApplied(n int, d time.Duration) {
 	if n <= 0 {
 		return
 	}
-	m.latency.ObserveN(stripe, d.Seconds()/float64(n), uint64(n))
+	m.latency.ObserveN(d.Seconds()/float64(n), uint64(n))
 }
 
 //schedlint:hotpath
@@ -94,29 +85,19 @@ func (m *Metrics) arrivalsFailed(n int) {
 // without re-applying.
 //
 //schedlint:hotpath
-func (m *Metrics) dedupSuppressed(stripe int) { m.dedup.Cell(stripe).Add(1) }
+func (m *Metrics) dedupSuppressed() { m.dedup.Add(1) }
 
 // shedRecorded records one submit degraded to 429 (full backlog past
 // the shed deadline, or a saturated dedup window).
 //
 //schedlint:hotpath
-func (m *Metrics) shedRecorded(stripe int) { m.shed.Cell(stripe).Add(1) }
+func (m *Metrics) shedRecorded() { m.shed.Add(1) }
 
 // DedupSuppressed returns the duplicate-batches-suppressed counter.
-func (m *Metrics) DedupSuppressed() uint64 {
-	if n := m.dedup.Load(); n > 0 {
-		return uint64(n)
-	}
-	return 0
-}
+func (m *Metrics) DedupSuppressed() uint64 { return m.dedup.Load() }
 
 // Sheds returns the shed-submits counter.
-func (m *Metrics) Sheds() uint64 {
-	if n := m.shed.Load(); n > 0 {
-		return uint64(n)
-	}
-	return 0
-}
+func (m *Metrics) Sheds() uint64 { return m.shed.Load() }
 
 // SessionsLive returns the live-session gauge.
 func (m *Metrics) SessionsLive() int64 { return m.sessionsLive.Load() }

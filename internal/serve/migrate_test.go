@@ -98,7 +98,7 @@ func TestHostMigrationDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

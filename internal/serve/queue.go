@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/job"
-	"repro/internal/stats"
 )
 
 // mark delimits one producer-stamped batch inside the ring: jobs
@@ -59,12 +58,10 @@ type arrq struct {
 	marks []mark
 	mhead int
 
-	// qlen mirrors n for lock-free Backlog reads; gauge — the session's
-	// cell of the host's sharded backlog counter — feeds the lock-free
-	// /metrics backlog fast path without sharing a cache line with
-	// other sessions' queues.
+	// qlen mirrors n for lock-free Backlog reads; gauge is the host's
+	// backlog counter, which feeds the lock-free /metrics backlog.
 	qlen  atomic.Int64
-	gauge *stats.Int64Cell
+	gauge *atomic.Int64
 
 	// space and data are 1-buffered wake signals: a producer parks on
 	// space when the ring is full, the consumer parks on data when it
@@ -74,7 +71,7 @@ type arrq struct {
 	data  chan struct{}
 }
 
-func newArrq(capacity int, gauge *stats.Int64Cell) *arrq {
+func newArrq(capacity int, gauge *atomic.Int64) *arrq {
 	return &arrq{
 		buf:   make([]job.Job, capacity),
 		gauge: gauge,
@@ -124,10 +121,10 @@ func (q *arrq) push(js []job.Job) (int, bool) {
 		}
 	}
 	q.mu.Unlock()
-	// The backlog gauge is a padded atomic cell; updating it outside
-	// the queue lock keeps the critical section call-free (the gauge
-	// may momentarily lag the queue, which a gauge is allowed to do).
-	if k > 0 && q.gauge != nil {
+	// Updating the backlog gauge outside the queue lock keeps the
+	// critical section call-free (the gauge may momentarily lag the
+	// queue, which a gauge is allowed to do).
+	if k > 0 {
 		q.gauge.Add(int64(k))
 	}
 	return k, false
@@ -178,27 +175,21 @@ func (q *arrq) pushAll(js []job.Job, producer string, seq uint64) (pos uint64, o
 		}
 	}
 	q.mu.Unlock()
-	if q.gauge != nil {
-		q.gauge.Add(int64(len(js)))
-	}
+	q.gauge.Add(int64(len(js)))
 	return pos, true, false, false
 }
 
-// drainTo moves up to max queued jobs (everything when max <= 0) into
-// dst without blocking, stopping at stamped-batch boundaries: an
-// unstamped run never crosses into a mark, and a stamped batch drains
-// whole (its atomic push guarantees it is fully present) with its
-// stamp returned — max does not split it, because the batch must land
-// in the WAL as exactly one record. done reports closed-and-empty —
-// the applier's exit condition.
+// drainTo moves the queued jobs into dst without blocking, stopping
+// at stamped-batch boundaries: an unstamped run never crosses into a
+// mark, and a stamped batch drains whole and alone (its atomic push
+// guarantees it is fully present) with its stamp returned, because the
+// batch must land in the WAL as exactly one record. done reports
+// closed-and-empty — the applier's exit condition.
 //
 //schedlint:hotpath
-func (q *arrq) drainTo(dst []job.Job, max int) (out []job.Job, st stamp, done bool) {
+func (q *arrq) drainTo(dst []job.Job) (out []job.Job, st stamp, done bool) {
 	q.mu.Lock()
 	k := q.n
-	if max > 0 && k > max {
-		k = max
-	}
 	if q.mhead < len(q.marks) {
 		m := &q.marks[q.mhead]
 		if q.deq < m.start {
@@ -240,7 +231,7 @@ func (q *arrq) drainTo(dst []job.Job, max int) (out []job.Job, st stamp, done bo
 	}
 	done = q.closed && q.n == 0
 	q.mu.Unlock()
-	if k > 0 && q.gauge != nil {
+	if k > 0 {
 		q.gauge.Add(int64(-k))
 	}
 	return dst, st, done

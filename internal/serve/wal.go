@@ -282,7 +282,6 @@ func (h *Host) attach(id string, spec engine.Spec, run *engine.Live, wlog *wal.L
 	h.mu.Unlock()
 	defer h.creating.Done()
 
-	stripe := stripeOf(id)
 	base := wlog.Arrivals()
 	producers := make(map[string]*producer, len(wins))
 	logged := make(map[string]walWindow, len(wins))
@@ -292,10 +291,9 @@ func (h *Host) attach(id string, spec engine.Spec, run *engine.Live, wlog *wal.L
 	}
 	s := &Session{
 		ID: id, Spec: spec, host: h,
-		queue:     newArrq(h.cfg.MaxBacklog, h.backlog.Cell(stripe)),
+		queue:     newArrq(h.cfg.MaxBacklog, &h.backlog),
 		done:      make(chan struct{}),
 		closeCh:   make(chan struct{}),
-		stripe:    stripe,
 		run:       run,
 		wlog:      wlog,
 		base:      base,

@@ -27,9 +27,6 @@ var benchWalOpt = wal.Options{FsyncInterval: 5 * time.Millisecond}
 // baseline, replaying the entire log. log-bytes reports what the
 // crash left on disk — the table in EXPERIMENTS.md reads this and
 // ns/op side by side.
-//
-// Not part of scripts/bench.sh: recovery is a boot-time cost, not a
-// hot path, and the trajectory gate tracks hot paths.
 func BenchmarkHostRecover(b *testing.B) {
 	// The serve-ingest benchmark's workload shape: heavy-tailed jobs on
 	// a compressed horizon, so oa's pending set stays small and the

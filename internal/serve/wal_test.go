@@ -115,7 +115,7 @@ func TestHostWALRecoverDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, err := engine.ReplayAllSpec([]*job.Instance{tn.in}, tn.spec, 1)
+		wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{tn.in}, tn.spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestHostWALCheckpointRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+	wantRes, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,59 +123,3 @@ func TestHistogramWireRefusals(t *testing.T) {
 		}
 	}
 }
-
-// TestStripedHistogram pins that striping is invisible in the merged
-// numbers: buckets, count, extremes and every quantile match a plain
-// histogram fed the same observations exactly. Only the sum may differ
-// in its last ulps — float addition is not associative and stripes
-// accumulate in their own order — so it is compared relatively.
-func TestStripedHistogram(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var s StripedHistogram
-	var want Histogram
-	for i := 0; i < 20_000; i++ {
-		x := rng.ExpFloat64() * 1e-5
-		s.Observe(i, x)
-		want.Observe(x)
-	}
-	s.ObserveN(-1, 2e-6, 77) // negative stripe indexes must mask, not panic
-	want.ObserveN(2e-6, 77)
-	got := s.Snapshot()
-	gotSum, wantSum := got.Sum(), want.Sum()
-	got.sum, want.sum = 0, 0
-	if got != want {
-		t.Fatalf("striped snapshot diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if d := (gotSum - wantSum) / wantSum; d > 1e-12 || d < -1e-12 {
-		t.Fatalf("sums diverged beyond accumulation-order noise: %v vs %v", gotSum, wantSum)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got.Quantile(q) != want.Quantile(q) { //schedlint:exactfloat exact-quantile claim under test
-			t.Fatalf("q%v diverged", q)
-		}
-	}
-	if s.Count() != want.Count() {
-		t.Fatalf("count %d != %d", s.Count(), want.Count())
-	}
-}
-
-func TestShardedInt64(t *testing.T) {
-	s := NewShardedInt64(10) // rounds up to 16
-	for i := 0; i < 64; i++ {
-		s.Cell(i).Add(int64(i))
-	}
-	var want int64
-	for i := 0; i < 64; i++ {
-		want += int64(i)
-	}
-	if got := s.Load(); got != want {
-		t.Fatalf("Load() = %d, want %d", got, want)
-	}
-	s.Cell(-5).Add(1) // negative index masks
-	if got := s.Load(); got != want+1 {
-		t.Fatalf("Load() = %d, want %d", got, want+1)
-	}
-	if NewShardedInt64(0).Load() != 0 {
-		t.Fatal("zero-cell counter")
-	}
-}

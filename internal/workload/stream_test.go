@@ -88,7 +88,7 @@ func TestStreamIntoSessionMatchesBatchReplay(t *testing.T) {
 		in := gen(Config{N: 35, M: 1, Alpha: 2.3, Seed: 11, ValueScale: 2})
 		for _, policy := range []string{"pd", "oa", "avr", "qoa"} {
 			spec := engine.Spec{Name: policy, M: 1, Alpha: in.Alpha}
-			batch, err := engine.ReplayAllSpec([]*job.Instance{in}, spec, 1)
+			batch, err := engine.DefaultRegistry().ReplayAll(context.Background(), []*job.Instance{in}, spec, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: replay: %v", genName, policy, err)
 			}

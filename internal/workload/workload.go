@@ -206,7 +206,7 @@ func HeavyTail(c Config) *job.Instance {
 }
 
 // Fleet draws k independent instances from the same configuration with
-// derived seeds — the unit of work engine.ReplayAll consumes. The
+// derived seeds — the unit of work Registry.ReplayAll consumes. The
 // generator is any of the Config-driven functions in this package.
 func Fleet(gen func(Config) *job.Instance, c Config, k int) []*job.Instance {
 	out := make([]*job.Instance, k)
