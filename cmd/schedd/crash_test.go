@@ -244,7 +244,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	refSnapshot := func(upTo int) []byte {
 		t.Helper()
 		for ; refFed < upTo; refFed++ {
-			if _, err := refSess.SubmitBatch(context.Background(), in.Jobs[refFed:refFed+1]); err != nil {
+			if _, _, err := refSess.SubmitBatch(context.Background(), in.Jobs[refFed:refFed+1]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -114,7 +114,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	in := workload.Uniform(workload.Config{N: 6, M: 1, Alpha: 2.2, Seed: 3, ValueScale: 2})
 	if err := workload.NewStream(in, 0).Play(context.Background(), func(j job.Job) error {
-		_, err := straggler.SubmitBatch(context.Background(), []job.Job{j})
+		_, _, err := straggler.SubmitBatch(context.Background(), []job.Job{j})
 		return err
 	}); err != nil {
 		t.Fatal(err)

@@ -222,6 +222,7 @@ func (p *pdPolicy) Snapshot() Snapshot {
 // liveSession is the shape of the incremental planners in yds.
 type liveSession interface {
 	Arrive(job.Job) error
+	ArriveBatch([]job.Job) (int, error)
 	Close() (*sched.Schedule, error)
 	State() yds.SessionState
 }
@@ -239,20 +240,8 @@ func (p *onlinePolicy) Name() string { return p.name }
 func (p *onlinePolicy) Arrive(j job.Job) error { return p.s.Arrive(j) }
 
 // ArriveBatch forwards the batched ingest path to the session's own
-// batch entry point when it has one (all yds sessions do).
-func (p *onlinePolicy) ArriveBatch(js []job.Job) (int, error) {
-	if ba, ok := p.s.(interface {
-		ArriveBatch([]job.Job) (int, error)
-	}); ok {
-		return ba.ArriveBatch(js)
-	}
-	for i := range js {
-		if err := p.s.Arrive(js[i]); err != nil {
-			return i, err
-		}
-	}
-	return len(js), nil
-}
+// batch entry point.
+func (p *onlinePolicy) ArriveBatch(js []job.Job) (int, error) { return p.s.ArriveBatch(js) }
 
 func (p *onlinePolicy) Close() (*sched.Schedule, error) { return p.s.Close() }
 

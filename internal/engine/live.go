@@ -1,7 +1,7 @@
 // Live is the streaming counterpart of Replay: the same lifecycle —
 // validate every arrival, meter the policy's decision latency, verify
-// the final schedule independently — but driven by arrivals delivered
-// one at a time over a session's lifetime instead of a finished trace.
+// the final schedule independently — but driven by batches of arrivals
+// delivered over a session's lifetime instead of a finished trace.
 // The serving daemon hosts one Live per tenant; fed the same jobs in
 // the same order, Live and Replay produce byte-identical Results
 // (modulo wall-clock timings), which the differential tests pin.
@@ -63,52 +63,20 @@ func (l *Live) Arrivals() int { return len(l.jobs) }
 // must not mutate it and must not hold it across further arrivals.
 func (l *Live) History() []job.Job { return l.jobs }
 
-// Arrive validates the job (well-formed, unique ID, nondecreasing
-// release — the order every online algorithm here assumes) and hands
-// it to the policy, metering the decision latency. A rejected or
-// invalid arrival does not corrupt the run: the session stays usable
-// for further arrivals and Close.
-func (l *Live) Arrive(j job.Job) error {
-	if l.closed {
-		return fmt.Errorf("engine: live run already closed, cannot accept job %d", j.ID)
-	}
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	if _, dup := l.seen[j.ID]; dup {
-		return fmt.Errorf("engine: duplicate job ID %d", j.ID)
-	}
-	if len(l.jobs) > 0 && j.Release < l.lastRel {
-		return fmt.Errorf("engine: job %d released at %v arrives after frontier %v (arrivals must be in release order)",
-			j.ID, j.Release, l.lastRel)
-	}
-	start := time.Now()
-	if err := l.p.Arrive(j); err != nil {
-		return fmt.Errorf("engine: %s rejected arrival of job %d: %w", l.p.Name(), j.ID, err)
-	}
-	d := time.Since(start)
-	l.res.TotalArrive += d
-	if d > l.res.MaxArrive {
-		l.res.MaxArrive = d
-	}
-	l.seen[j.ID] = struct{}{}
-	l.jobs = append(l.jobs, j)
-	l.lastRel = j.Release
-	return nil
-}
-
-// ApplyBatch validates and applies a run of arrivals in one call —
-// the serving daemon's batched ingest path: the per-tenant applier
-// drains everything queued and hands it here, paying one latency
-// measurement and (through BatchArriver policies) one coalesced
-// replan per same-release group instead of per job. It returns how
-// many jobs were applied. On an error the batch stops there: the
-// applied prefix stays, the offending and remaining jobs are dropped,
-// and the caller records the error (the host fails later submits fast
-// and surfaces it at Close, so a poisoned stream cannot masquerade as
-// a clean run). Fed the same jobs, ApplyBatch and one-at-a-time
-// Arrive produce byte-identical Results (modulo wall-clock timings) —
-// pinned by differential tests.
+// ApplyBatch validates each arrival (well-formed, unique ID,
+// nondecreasing release — the order every online algorithm here
+// assumes) and applies the run in one call — the serving daemon's
+// ingest path: the per-tenant applier drains everything queued and
+// hands it here, paying one latency measurement and (through
+// BatchArriver policies) one coalesced replan per same-release group
+// instead of per job. It returns how many jobs were applied. On an
+// error the batch stops there: the applied prefix stays, the offending
+// and remaining jobs are dropped, and the run stays usable for further
+// arrivals and Close; the caller records the error (the host fails
+// later submits fast and surfaces it at Close, so a poisoned stream
+// cannot masquerade as a clean run). Under any batch boundaries the
+// Result is byte-identical (modulo wall-clock timings) to Replay's
+// one-job-at-a-time Arrive — pinned by differential tests.
 func (l *Live) ApplyBatch(js []job.Job) (int, error) {
 	if l.closed {
 		return 0, fmt.Errorf("engine: live run already closed, cannot accept a batch of %d jobs", len(js))

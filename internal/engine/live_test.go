@@ -15,9 +15,10 @@ import (
 )
 
 // TestLiveMatchesReplay pins the streaming lifecycle to the batch one:
-// feeding a normalized instance arrival by arrival through Live must
-// produce a byte-identical schedule and identical cost metrics to
-// Replay for every built-in policy.
+// feeding a normalized instance arrival by arrival through Live (one-
+// job ApplyBatch calls) must produce a byte-identical schedule and
+// identical cost metrics to Replay, which hands the policy each job
+// through Arrive, for every built-in policy.
 func TestLiveMatchesReplay(t *testing.T) {
 	in := workload.Poisson(workload.Config{N: 40, M: 1, Alpha: 2.2, Seed: 3, ValueScale: 2})
 	for _, name := range DefaultRegistry().Names() {
@@ -36,8 +37,8 @@ func TestLiveMatchesReplay(t *testing.T) {
 		}
 		norm := in.Clone()
 		norm.Normalize()
-		for _, j := range norm.Jobs {
-			if err := l.Arrive(j); err != nil {
+		for i, j := range norm.Jobs {
+			if _, err := l.ApplyBatch(norm.Jobs[i : i+1]); err != nil {
 				t.Fatalf("%s: arrive job %d: %v", name, j.ID, err)
 			}
 		}
@@ -76,16 +77,16 @@ func TestLiveLifecycleErrors(t *testing.T) {
 	ok := job.Job{ID: 0, Release: 1, Deadline: 2, Work: 1, Value: math.Inf(1)}
 
 	l := mk()
-	if err := l.Arrive(job.Job{ID: 1, Release: 0, Deadline: 1, Work: -1}); err == nil {
+	if _, err := l.ApplyBatch([]job.Job{{ID: 1, Release: 0, Deadline: 1, Work: -1}}); err == nil {
 		t.Fatal("invalid job accepted")
 	}
-	if err := l.Arrive(ok); err != nil {
+	if _, err := l.ApplyBatch([]job.Job{ok}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Arrive(ok); err == nil {
+	if _, err := l.ApplyBatch([]job.Job{ok}); err == nil {
 		t.Fatal("duplicate ID accepted")
 	}
-	if err := l.Arrive(job.Job{ID: 2, Release: 0.5, Deadline: 3, Work: 1}); err == nil {
+	if _, err := l.ApplyBatch([]job.Job{{ID: 2, Release: 0.5, Deadline: 3, Work: 1}}); err == nil {
 		t.Fatal("out-of-order release accepted")
 	}
 	// A refused arrival must not corrupt the run.
@@ -95,7 +96,7 @@ func TestLiveLifecycleErrors(t *testing.T) {
 	if _, err := l.Close(); err == nil {
 		t.Fatal("double close accepted")
 	}
-	if err := l.Arrive(job.Job{ID: 3, Release: 5, Deadline: 6, Work: 1}); err == nil {
+	if _, err := l.ApplyBatch([]job.Job{{ID: 3, Release: 5, Deadline: 6, Work: 1}}); err == nil {
 		t.Fatal("arrive after close accepted")
 	}
 
@@ -109,7 +110,7 @@ func TestLiveSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Arrive(job.Job{ID: 0, Release: 0, Deadline: 2, Work: 1, Value: math.Inf(1)}); err != nil {
+	if _, err := l.ApplyBatch([]job.Job{{ID: 0, Release: 0, Deadline: 2, Work: 1, Value: math.Inf(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	snap := l.Snapshot()
@@ -121,7 +122,7 @@ func TestLiveSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lb.Arrive(job.Job{ID: 0, Release: 0, Deadline: 2, Work: 1.5, Value: math.Inf(1)}); err != nil {
+	if _, err := lb.ApplyBatch([]job.Job{{ID: 0, Release: 0, Deadline: 2, Work: 1.5, Value: math.Inf(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	snap = lb.Snapshot()
@@ -197,11 +198,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLiveArriveSteadyStateAllocFree guards the serving hot path end
-// to end: a warm Live.Arrive — validation, duplicate check, latency
-// metering and the policy's own replanning — must not allocate per
-// arrival beyond the amortized growth of its bookkeeping (jobs slice,
-// seen map, session buffers).
+// TestLiveArriveSteadyStateAllocFree guards the serving hot path's
+// engine half: a warm one-job Live.ApplyBatch — validation, duplicate
+// check, latency metering and the policy's own batched replanning —
+// must not allocate per arrival beyond the amortized growth of its
+// bookkeeping (jobs slice, seen map, session buffers).
 func TestLiveArriveSteadyStateAllocFree(t *testing.T) {
 	in := workload.HeavyTail(workload.Config{
 		N: 6000, M: 1, Alpha: 2, Seed: 9, Horizon: 600, ValueScale: math.Inf(1),
@@ -212,14 +213,14 @@ func TestLiveArriveSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range in.Jobs[:warm] {
-		if err := l.Arrive(j); err != nil {
+	for i := range in.Jobs[:warm] {
+		if _, err := l.ApplyBatch(in.Jobs[i : i+1]); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
 	}
 	i := warm
 	avg := testing.AllocsPerRun(runs, func() {
-		if err := l.Arrive(in.Jobs[i]); err != nil {
+		if _, err := l.ApplyBatch(in.Jobs[i : i+1]); err != nil {
 			t.Fatalf("arrive %d: %v", i, err)
 		}
 		i++
@@ -275,10 +276,10 @@ func TestSessionPerArrivalStaysFlat(t *testing.T) {
 
 // TestApplyBatchMatchesSequentialArrive pins the batched ingest path
 // at the engine layer: a trace fed through ApplyBatch under arbitrary
-// batch boundaries must close to a Result byte-identical to feeding
-// the same jobs through Arrive one at a time, for every built-in
-// policy shape (truly-online sessions with coalesced replans, the
-// buffering shims, and pd's generic per-job fallback).
+// batch boundaries must close to a Result byte-identical to Replay,
+// which feeds the same jobs through Policy.Arrive one at a time, for
+// every built-in policy shape (truly-online sessions with coalesced
+// replans, the buffering shims, and pd's generic per-job loop).
 func TestApplyBatchMatchesSequentialArrive(t *testing.T) {
 	// The same instance TestLiveMatchesReplay replays: every built-in
 	// (including the float-sensitive moa shim) closes it cleanly.
@@ -290,18 +291,9 @@ func TestApplyBatchMatchesSequentialArrive(t *testing.T) {
 			continue // exponential; 60 jobs is out of reach
 		}
 		spec := Spec{Name: name, M: 1, Alpha: in.Alpha}
-		seq, err := NewLive(spec)
+		want, err := Replay(norm, mustNew(t, spec))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, j := range norm.Jobs {
-			if err := seq.Arrive(j); err != nil {
-				t.Fatalf("%s: arrive: %v", name, err)
-			}
-		}
-		want, err := seq.Close()
-		if err != nil {
-			t.Fatalf("%s: close: %v", name, err)
+			t.Fatalf("%s: replay: %v", name, err)
 		}
 		for _, sizes := range [][]int{{len(norm.Jobs)}, {1}, {3, 7, 1, 13}} {
 			bat, err := NewLive(spec)

@@ -23,15 +23,6 @@ type Interval struct {
 // Len returns the interval length l_k.
 func (iv *Interval) Len() float64 { return iv.T1 - iv.T0 }
 
-// TotalLoad returns the summed workload assigned to the interval.
-func (iv *Interval) TotalLoad() float64 {
-	var s float64
-	for _, w := range iv.Load {
-		s += w
-	}
-	return s
-}
-
 // clone deep-copies the interval with loads scaled by frac.
 func (iv *Interval) scaledCopy(t0, t1, frac float64) *Interval {
 	cp := &Interval{T0: t0, T1: t1, Load: make(map[int]float64, len(iv.Load))}

@@ -285,11 +285,3 @@ func Integral(in *job.Instance) (*Solution, error) {
 	}
 	return best, nil
 }
-
-// DualAtPD evaluates the generic dual lower bound g(λ) at an arbitrary
-// multiplier vector — used to certify ratios on instances too large for
-// Integral. It is re-exported here so experiment code does not need to
-// import internal/dual directly.
-func DualAtPD(in *job.Instance, lambda map[int]float64) float64 {
-	return dual.Value(power.Model{Alpha: in.Alpha}, in.M, in.Jobs, lambda)
-}

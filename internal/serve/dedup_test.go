@@ -11,8 +11,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,7 +97,7 @@ func TestSubmitStampedShedsUnderOverload(t *testing.T) {
 	}
 	// Park the applier in Arrive and fill the queue.
 	parkApplier(t, s, stampJobs(0, 1)[0])
-	if _, err := s.SubmitBatch(ctx, stampJobs(1, 2)); err != nil {
+	if _, _, err := s.SubmitBatch(ctx, stampJobs(1, 2)); err != nil {
 		t.Fatalf("fill: %v", err)
 	}
 	if s.Backlog() != 2 {
@@ -106,7 +108,7 @@ func TestSubmitStampedShedsUnderOverload(t *testing.T) {
 	if _, _, _, err := s.SubmitStamped(ctx, "p", 1, stampJobs(5, 1)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("stamped into full queue: %v, want ErrOverloaded", err)
 	}
-	if _, err := s.SubmitBatch(ctx, stampJobs(6, 1)); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.SubmitBatch(ctx, stampJobs(6, 1)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("unstamped into full queue: %v, want ErrOverloaded", err)
 	}
 	if statusOf(ErrOverloaded) != 429 {
@@ -175,7 +177,7 @@ func TestStampedWindowSurvivesRecovery(t *testing.T) {
 	if _, _, _, err := s.SubmitStamped(ctx, "p1", 1, in.Jobs[:10]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitBatch(ctx, in.Jobs[10:15]); err != nil {
+	if _, _, err := s.SubmitBatch(ctx, in.Jobs[10:15]); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := s.SubmitStamped(ctx, "p2", 1, in.Jobs[15:20]); err != nil {
@@ -207,7 +209,7 @@ func TestStampedWindowSurvivesRecovery(t *testing.T) {
 		if err != nil || !dup || acc != c.acc {
 			t.Fatalf("recovered retry %s/%d: acc=%d dup=%v err=%v", c.prod, c.seq, acc, dup, err)
 		}
-		if err := s2.waitDurablePos(ctx, pos); err != nil {
+		if err := s2.waitDurable(ctx, pos); err != nil {
 			t.Fatalf("recovered retry %s/%d durable wait: %v", c.prod, c.seq, err)
 		}
 	}
@@ -262,7 +264,7 @@ func TestWaitDurableCancellation(t *testing.T) {
 	const waiters = 32
 	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
-		go func() { errs <- s.waitDurablePos(cctx, pos) }()
+		go func() { errs <- s.waitDurable(cctx, pos) }()
 	}
 	time.Sleep(10 * time.Millisecond) // let them reach the park point
 	cancel()
@@ -278,7 +280,7 @@ func TestWaitDurableCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- s.waitDurablePos(ctx, pos) }()
+	go func() { done <- s.waitDurable(ctx, pos) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -345,7 +347,7 @@ func TestStampedWindowSurvivesCheckpoint(t *testing.T) {
 			t.Fatalf("batch %d: %v", i/20, err)
 		}
 	}
-	if err := s.waitDurable(ctx); err != nil {
+	if err := waitAdmitted(ctx, s); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); st.Stats().Checkpoints == 0; {
@@ -383,5 +385,50 @@ func TestStampedWindowSurvivesCheckpoint(t *testing.T) {
 	bj, _ := json.Marshal(maskTimes(res))
 	if !bytes.Equal(aj, bj) {
 		t.Fatalf("post-checkpoint exactly-once run differs from replay:\n%s\nvs\n%s", aj, bj)
+	}
+}
+
+// TestOversizedProducerIDRefused pins the producer-id bound at the
+// wire: an id longer than a WAL record can carry is refused with 400
+// at once, before the dedup window or the ring sees it, and an id of
+// exactly the bound is served. Admitted, the oversized batch would
+// fail its WAL append, park its ack on a log position that never
+// arrives, and poison the session for every later request and its
+// final Result.
+func TestOversizedProducerIDRefused(t *testing.T) {
+	store, err := wal.Open(t.TempDir(), wal.Options{FsyncInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	h := NewHost(Config{WAL: store})
+	handler := NewHandler(h)
+	if _, err := h.Create("t", engine.Spec{Name: "oa", M: 1, Alpha: 2}); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("p", wal.MaxProducer+1)
+	start := time.Now()
+	code, raw := postArrivals(t, handler, "t", long, "1", ndjsonLine(mkJob(0, 0)))
+	if code != http.StatusBadRequest || !strings.Contains(string(raw), "producer id longer than") {
+		t.Fatalf("oversized producer id answered %d %s after %v, want 400 at once", code, raw, time.Since(start))
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("oversized producer id refused after %v, want at once", d)
+	}
+	if code, raw := postArrivals(t, handler, "t", long[:wal.MaxProducer], "1", ndjsonLine(mkJob(1, 1))); code != http.StatusOK {
+		t.Fatalf("producer id of exactly %d bytes answered %d %s", wal.MaxProducer, code, raw)
+	}
+	if code, raw := postArrivals(t, handler, "t", "p", "1", ndjsonLine(mkJob(2, 2))); code != http.StatusOK {
+		t.Fatalf("stamped request after the refusal answered %d %s", code, raw)
+	}
+	if code, raw := postArrivals(t, handler, "t", "", "", ndjsonLine(mkJob(3, 3))); code != http.StatusOK {
+		t.Fatalf("unstamped request after the refusal answered %d %s", code, raw)
+	}
+	res, err := h.Close("t")
+	if err != nil {
+		t.Fatalf("close after the refusal: %v", err)
+	}
+	if res.Schedule == nil || res.Rejected != 0 {
+		t.Fatalf("result after the refusal = %+v", res)
 	}
 }

@@ -246,7 +246,7 @@ type Session struct {
 
 	// logged is the applier-side dedup window: per producer, the highest
 	// sequence actually written to the WAL. Only the applier goroutine
-	// touches it (attach seeds it before the goroutine starts), so the
+	// touches it (newSession seeds it before the goroutine starts), so the
 	// checkpoint — which also runs on the applier — records windows that
 	// exactly match the logged history at the cut, never a submitted-
 	// but-unlogged batch a crash would lose.
@@ -278,6 +278,40 @@ type walWindow struct {
 // empty) from the spec. Admission control refuses once MaxSessions
 // tenants are live, and a draining host refuses everything.
 func (h *Host) Create(id string, spec engine.Spec) (*Session, error) {
+	var wlog *wal.Log
+	s, err := h.open(func() (*Session, error) {
+		run, err := h.reg.NewLive(spec)
+		if err != nil {
+			return nil, err
+		}
+		if id == "" {
+			id = fmt.Sprintf("s-%d", h.nextID.Add(1))
+		}
+		if h.cfg.WAL != nil {
+			// The open record — everything recovery needs to rebuild the
+			// session shell — is durable before the create is acknowledged.
+			wlog, err = h.cfg.WAL.Create(id, appendOpenJSON(make([]byte, 0, 128), id, spec))
+			if err != nil {
+				if errors.Is(err, wal.ErrExists) {
+					return nil, fmt.Errorf("%w: %q", ErrDuplicate, id)
+				}
+				return nil, err
+			}
+		}
+		return h.newSession(id, spec, run, wlog, nil), nil
+	})
+	if err != nil && wlog != nil {
+		_ = wlog.CloseAndRemove() // the id was taken; nothing was ever logged
+	}
+	return s, err
+}
+
+// open is the one session registration path, shared by Create and
+// recovery: reserve an admission slot, build the session outside every
+// host lock (a policy build or WAL create may be slow), register it
+// under its id and start its applier. A failed build or a taken id
+// releases the slot.
+func (h *Host) open(build func() (*Session, error)) (*Session, error) {
 	h.mu.Lock()
 	if h.draining {
 		h.mu.Unlock()
@@ -294,33 +328,34 @@ func (h *Host) Create(id string, spec engine.Spec) (*Session, error) {
 	h.creating.Add(1)
 	h.mu.Unlock()
 	defer h.creating.Done()
-	release := func() {
+
+	s, err := build()
+	if err == nil {
+		sh := h.shardOf(s.ID)
+		sh.mu.Lock()
+		if _, dup := sh.sessions[s.ID]; dup {
+			err = fmt.Errorf("%w: %q", ErrDuplicate, s.ID)
+		} else {
+			sh.sessions[s.ID] = s
+		}
+		sh.mu.Unlock()
+	}
+	if err != nil {
 		h.mu.Lock()
 		h.live--
 		h.mu.Unlock()
-	}
-
-	run, err := h.reg.NewLive(spec)
-	if err != nil {
-		release()
 		return nil, err
 	}
-	if id == "" {
-		id = fmt.Sprintf("s-%d", h.nextID.Add(1))
-	}
-	var wlog *wal.Log
-	if h.cfg.WAL != nil {
-		// The open record — everything recovery needs to rebuild the
-		// session shell — is durable before the create is acknowledged.
-		wlog, err = h.cfg.WAL.Create(id, appendOpenJSON(make([]byte, 0, 128), id, spec))
-		if err != nil {
-			release()
-			if errors.Is(err, wal.ErrExists) {
-				return nil, fmt.Errorf("%w: %q", ErrDuplicate, id)
-			}
-			return nil, err
-		}
-	}
+	go s.apply()
+	h.metrics.sessionOpened()
+	return s, nil
+}
+
+// newSession builds an unregistered session around a run and its log.
+// wins seeds both halves of the dedup window: everything a log already
+// holds is durable, so every known producer's ack position is the log's
+// current length.
+func (h *Host) newSession(id string, spec engine.Spec, run *engine.Live, wlog *wal.Log, wins map[string]walWindow) *Session {
 	s := &Session{
 		ID: id, Spec: spec, host: h,
 		queue:     newArrq(h.cfg.MaxBacklog, &h.backlog),
@@ -328,24 +363,17 @@ func (h *Host) Create(id string, spec engine.Spec) (*Session, error) {
 		closeCh:   make(chan struct{}),
 		run:       run,
 		wlog:      wlog,
-		producers: make(map[string]*producer),
-		logged:    make(map[string]walWindow),
+		producers: make(map[string]*producer, len(wins)),
+		logged:    make(map[string]walWindow, len(wins)),
 	}
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.sessions[id]; dup {
-		sh.mu.Unlock()
-		release()
-		if wlog != nil {
-			_ = wlog.CloseAndRemove() // nothing was ever logged
-		}
-		return nil, fmt.Errorf("%w: %q", ErrDuplicate, id)
+	if wlog != nil {
+		s.base = wlog.Arrivals()
 	}
-	sh.sessions[id] = s
-	sh.mu.Unlock()
-	go s.apply()
-	h.metrics.sessionOpened()
-	return s, nil
+	for p, w := range wins {
+		s.producers[p] = &producer{seq: w.Seq, accepted: w.Accepted, pos: s.base}
+		s.logged[p] = w
+	}
+	return s
 }
 
 // Get returns the tenant's live session.
@@ -425,12 +453,8 @@ func (h *Host) Detach(ctx context.Context, id string) error {
 	if !h.remove(id) {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	s.closed.Do(func() { close(s.closeCh) })
-	s.queue.close()
-	select {
-	case <-s.done:
-	case <-ctx.Done():
-		return fmt.Errorf("serve: detach of %q abandoned: %w", id, context.Cause(ctx))
+	if err := s.seal(ctx); err != nil {
+		return fmt.Errorf("serve: detach of %q abandoned: %w", id, err)
 	}
 	if err := s.wlog.Close(); err != nil {
 		return fmt.Errorf("serve: detach of %q: %w", id, err)
@@ -586,56 +610,56 @@ func (s *Session) recordErr(err error) {
 
 // SubmitBatch queues a run of arrivals, blocking while the queue is
 // full (the MaxBacklog backpressure bound), and returns how many were
-// queued. It stops early — reporting the queued prefix — when the ctx
-// dies, the session starts closing, or an earlier arrival was refused
-// (fail-fast on the recorded error). The ingest handler decodes up to
-// a batch of NDJSON lines and queues them all under one ring lock
-// here, which with the batch-draining applier makes the per-arrival
-// synchronization cost O(1/batch) instead of O(1).
-func (s *Session) SubmitBatch(ctx context.Context, js []job.Job) (int, error) {
-	queued := 0
+// queued and the log position of the last one — the point the durable
+// ack waits on. It stops early — reporting the queued prefix — when the
+// ctx dies, the session starts closing, or an earlier arrival was
+// refused (fail-fast on the recorded error). The ingest handler decodes
+// up to a batch of NDJSON lines and queues them all under one ring
+// lock here, which with the batch-draining applier makes the
+// per-arrival synchronization cost O(1/batch) instead of O(1).
+func (s *Session) SubmitBatch(ctx context.Context, js []job.Job) (int, uint64, error) {
+	return s.admit(ctx, js, "", 0)
+}
+
+// admit is the admission loop behind SubmitBatch and SubmitStamped: it
+// pushes js — an unstamped run as far as it fits, a stamped batch
+// whole — and parks on a full ring until the applier frees space, the
+// caller gives up, the session starts closing (closeCh releases parked
+// submitters even when a stuck policy never frees space), or — with
+// ShedAfter set — the shed deadline passes and the host degrades with
+// 429 instead of an unbounded stall. It returns how many jobs were
+// queued and the absolute log position of the last one.
+func (s *Session) admit(ctx context.Context, js []job.Job, producer string, seq uint64) (queued int, pos uint64, err error) {
 	var shed <-chan time.Time
-	var shedTimer *time.Timer
 	for {
 		if err := s.firstErr(); err != nil {
-			return queued, err
+			return queued, pos, err
 		}
-		k, closed := s.queue.push(js)
+		k, end, closed := s.queue.push(js, producer, seq)
 		if closed {
-			return queued, fmt.Errorf("%w: %q", ErrClosing, s.ID)
+			return queued, pos, fmt.Errorf("%w: %q", ErrClosing, s.ID)
 		}
-		queued += k
-		js = js[k:]
+		if k > 0 {
+			queued += k
+			pos = s.base + end
+			js = js[k:]
+		}
 		if len(js) == 0 {
-			if shedTimer != nil {
-				shedTimer.Stop()
-			}
-			return queued, nil
+			return queued, pos, nil
 		}
-		// Full: park until the applier frees space, the caller gives
-		// up, the session starts closing (closeCh releases parked
-		// submitters even when a stuck policy never frees space), or —
-		// with ShedAfter set — the shed deadline passes and the host
-		// degrades gracefully with 429 instead of an unbounded stall.
 		if shed == nil && s.host.cfg.ShedAfter > 0 {
-			shedTimer = time.NewTimer(s.host.cfg.ShedAfter)
-			shed = shedTimer.C
+			// An unstopped timer is collected once unreferenced (Go 1.23+).
+			shed = time.After(s.host.cfg.ShedAfter)
 		}
 		select {
 		case <-s.queue.space:
 		case <-ctx.Done():
-			if shedTimer != nil {
-				shedTimer.Stop()
-			}
-			return queued, ctx.Err()
+			return queued, pos, ctx.Err()
 		case <-s.closeCh:
-			if shedTimer != nil {
-				shedTimer.Stop()
-			}
-			return queued, fmt.Errorf("%w: %q", ErrClosing, s.ID)
+			return queued, pos, fmt.Errorf("%w: %q", ErrClosing, s.ID)
 		case <-shed:
 			s.host.metrics.shedRecorded()
-			return queued, fmt.Errorf("%w: %q backlog full for %v", ErrOverloaded, s.ID, s.host.cfg.ShedAfter)
+			return queued, pos, fmt.Errorf("%w: %q backlog full for %v", ErrOverloaded, s.ID, s.host.cfg.ShedAfter)
 		}
 	}
 }
@@ -681,6 +705,12 @@ func (s *Session) newProducer(prod string) (*producer, error) {
 // ErrSeqGap. dup reports the suppressed case; pos is the log position
 // the caller must WaitDurable on before acking.
 func (s *Session) SubmitStamped(ctx context.Context, prod string, seq uint64, js []job.Job) (accepted int, pos uint64, dup bool, err error) {
+	if len(prod) > wal.MaxProducer {
+		// Refused before the window or the ring sees it: the WAL could
+		// never log the batch, and an admitted batch it cannot log
+		// would fail the session and strand this request's ack.
+		return 0, 0, false, fmt.Errorf("serve: producer id longer than %d bytes", wal.MaxProducer)
+	}
 	if seq == 0 {
 		return 0, 0, false, fmt.Errorf("%w: producer %q sequence must start at 1", ErrSeqGap, prod)
 	}
@@ -708,47 +738,14 @@ func (s *Session) SubmitStamped(ctx context.Context, prod string, seq uint64, js
 		p.seq, p.accepted = seq, 0
 		return 0, p.pos, false, nil
 	}
-	var shed <-chan time.Time
-	var shedTimer *time.Timer
-	for {
-		if err := s.firstErr(); err != nil {
-			return 0, 0, false, err
-		}
-		qpos, ok, closed, tooBig := s.queue.pushAll(js, prod, seq)
-		if closed {
-			return 0, 0, false, fmt.Errorf("%w: %q", ErrClosing, s.ID)
-		}
-		if tooBig {
-			return 0, 0, false, fmt.Errorf("%w: %d jobs > backlog %d", ErrTooLarge, len(js), s.host.cfg.MaxBacklog)
-		}
-		if ok {
-			if shedTimer != nil {
-				shedTimer.Stop()
-			}
-			p.seq, p.accepted, p.pos = seq, len(js), s.base+qpos
-			return len(js), p.pos, false, nil
-		}
-		if shed == nil && s.host.cfg.ShedAfter > 0 {
-			shedTimer = time.NewTimer(s.host.cfg.ShedAfter)
-			shed = shedTimer.C
-		}
-		select {
-		case <-s.queue.space:
-		case <-ctx.Done():
-			if shedTimer != nil {
-				shedTimer.Stop()
-			}
-			return 0, 0, false, ctx.Err()
-		case <-s.closeCh:
-			if shedTimer != nil {
-				shedTimer.Stop()
-			}
-			return 0, 0, false, fmt.Errorf("%w: %q", ErrClosing, s.ID)
-		case <-shed:
-			s.host.metrics.shedRecorded()
-			return 0, 0, false, fmt.Errorf("%w: %q backlog full for %v", ErrOverloaded, s.ID, s.host.cfg.ShedAfter)
-		}
+	if len(js) > s.host.cfg.MaxBacklog {
+		return 0, 0, false, fmt.Errorf("%w: %d jobs > backlog %d", ErrTooLarge, len(js), s.host.cfg.MaxBacklog)
 	}
+	if _, pos, err = s.admit(ctx, js, prod, seq); err != nil {
+		return 0, 0, false, err
+	}
+	p.seq, p.accepted, p.pos = seq, len(js), pos
+	return len(js), pos, false, nil
 }
 
 func (s *Session) firstErr() error {
@@ -787,15 +784,8 @@ func (s *Session) Snapshot() SessionSnapshot {
 // clean session. A done ctx abandons the wait, so one stuck policy
 // cannot hold a host drain hostage.
 func (s *Session) finish(ctx context.Context) (*engine.Result, error) {
-	// Release parked submitters, then seal the queue: the ring refuses
-	// pushes from here on (no channel close/send race to choreograph)
-	// and the applier exits once it has drained what remains.
-	s.closed.Do(func() { close(s.closeCh) })
-	s.queue.close()
-	select {
-	case <-s.done:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("session %q: close abandoned: %w", s.ID, context.Cause(ctx))
+	if err := s.seal(ctx); err != nil {
+		return nil, fmt.Errorf("session %q: close abandoned: %w", s.ID, err)
 	}
 
 	// The session is over either way: retire its log — close record
@@ -820,4 +810,20 @@ func (s *Session) finish(ctx context.Context) (*engine.Result, error) {
 		return nil, fmt.Errorf("session %q: retiring wal: %w", s.ID, walErr)
 	}
 	return res, nil
+}
+
+// seal ends a session's intake, for Close and Detach alike: parked
+// submitters are released, the ring refuses pushes from here on (no
+// channel close/send race to choreograph), and seal waits for the
+// applier to drain what remains. A done ctx abandons the wait and
+// returns its cause.
+func (s *Session) seal(ctx context.Context) error {
+	s.closed.Do(func() { close(s.closeCh) })
+	s.queue.close()
+	select {
+	case <-s.done:
+		return nil
+	case <-ctx.Done():
+		return context.Cause(ctx)
+	}
 }

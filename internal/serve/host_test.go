@@ -18,7 +18,7 @@ import (
 
 // submit queues one arrival.
 func submit(ctx context.Context, s *Session, j job.Job) error {
-	_, err := s.SubmitBatch(ctx, []job.Job{j})
+	_, _, err := s.SubmitBatch(ctx, []job.Job{j})
 	return err
 }
 

@@ -13,15 +13,18 @@
 // as {"error": "..."} with a status the sentinel errors determine.
 //
 // The arrivals endpoint is the daemon's hot path and is built around
-// batches end to end: a pooled zero-allocation NDJSON decoder
+// batches end to end: one handler serves plain and producer-stamped
+// requests alike. A pooled zero-allocation NDJSON decoder
 // (internal/job) parses lines into a reused batch which is queued
-// under one ring lock, and the acknowledgement is rendered by hand
-// into a pooled buffer. The body is strict NDJSON — one job object
-// per line — and is read no faster than the session's bounded queue
+// under one ring lock, the acknowledgement waits for the log position
+// the submit returned, and it is rendered by hand into a pooled
+// buffer. The body is strict NDJSON — one job object per line. A
+// plain body is read no faster than the session's bounded queue
 // admits, so a slow policy stalls the read and TCP flow control
-// carries the backpressure to the client. Snapshot responses share
-// the pooled hand-rolled encoding; cold endpoints (create, close,
-// registry) keep encoding/json.
+// carries the backpressure to the client; a stamped body is decoded
+// whole first, because it is the unit of exactly-once delivery.
+// Snapshot responses share the pooled hand-rolled encoding; cold
+// endpoints (create, close, registry) keep encoding/json.
 
 package serve
 
@@ -216,21 +219,35 @@ var batchPool = sync.Pool{New: func() any {
 }}
 
 // handleArrivals consumes a strict NDJSON stream (one job.Job per
-// line) and queues the jobs on the session in batches. The response
-// reports how many arrivals were accepted (queued); a refused arrival
-// or malformed line stops the stream there. The request body is read
-// no faster than the bounded queue admits — a slow policy or a full
-// backlog stalls the read, and TCP flow control carries that
-// backpressure to the client.
+// line) and queues the jobs on the session. The response reports how
+// many arrivals were accepted (queued, and on a WAL-backed host on
+// disk); a refused arrival or malformed line stops the stream there.
+//
+// An unstamped body streams: it is submitted ingestBatch lines at a
+// time, read no faster than the bounded queue admits — a slow policy
+// or a full backlog stalls the read, and TCP flow control carries that
+// backpressure to the client. A body stamped with X-Producer-Id and
+// X-Producer-Seq is the unit of idempotency instead: it is decoded
+// whole before anything is submitted, so a truncated or malformed body
+// consumes no sequence number and applies nothing — the client then
+// retries the entire batch under the same (producer, seq) and the
+// dedup window guarantees at-most-once application. A stamped body
+// longer than MaxBacklog lines, which the ring could never admit
+// whole, is refused with 413 before the rest is read.
 func handleArrivals(h *Host, w http.ResponseWriter, r *http.Request) {
 	s, err := h.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if prod := r.Header.Get("X-Producer-Id"); prod != "" {
-		handleStamped(s, w, r, prod)
-		return
+	prod := r.Header.Get("X-Producer-Id")
+	var seq uint64
+	if prod != "" {
+		if seq, err = strconv.ParseUint(r.Header.Get("X-Producer-Seq"), 10, 64); err != nil {
+			writeArrivals(w, http.StatusBadRequest, s.ID, 0, false,
+				fmt.Sprintf("bad X-Producer-Seq: %v", err))
+			return
+		}
 	}
 	dec := job.GetDecoder(r.Body)
 	defer job.PutDecoder(dec)
@@ -241,88 +258,24 @@ func handleArrivals(h *Host, w http.ResponseWriter, r *http.Request) {
 		batchPool.Put(bp)
 	}()
 
-	accepted := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+	accepted, dup := 0, false
+	var pos uint64 // log position the durable ack waits on
+	submit := func() error {
+		var n int
+		var err error
+		if prod != "" {
+			n, pos, dup, err = s.SubmitStamped(r.Context(), prod, seq, batch)
+		} else if len(batch) > 0 {
+			n, pos, err = s.SubmitBatch(r.Context(), batch)
 		}
-		n, err := s.SubmitBatch(r.Context(), batch)
 		accepted += n
 		batch = batch[:0]
 		return err
 	}
 	for {
-		batch = batch[:len(batch)+1]
-		err := dec.Next(&batch[len(batch)-1])
-		if err != nil {
-			batch = batch[:len(batch)-1]
-			if err == io.EOF {
-				break
-			}
-			// Queue the lines that preceded the malformed one, then
-			// report it; a submit failure takes precedence (it carries
-			// the session's state, e.g. closing).
-			if serr := flush(); serr != nil {
-				writeArrivals(w, statusOf(serr), s.ID, accepted, false, serr.Error())
-				return
-			}
-			writeArrivals(w, http.StatusBadRequest, s.ID, accepted, false,
-				fmt.Sprintf("decoding arrival %d: %v", accepted, err))
-			return
-		}
-		if len(batch) == cap(batch) {
-			if serr := flush(); serr != nil {
-				writeArrivals(w, statusOf(serr), s.ID, accepted, false, serr.Error())
-				return
-			}
-		}
-	}
-	if serr := flush(); serr != nil {
-		writeArrivals(w, statusOf(serr), s.ID, accepted, false, serr.Error())
-		return
-	}
-	// Durable ack: on a WAL-backed host the 200 means "on disk", so
-	// park until the group fsync covers everything this stream queued.
-	if accepted > 0 {
-		if derr := s.waitDurable(r.Context()); derr != nil {
-			writeArrivals(w, http.StatusInternalServerError, s.ID, accepted, false,
-				fmt.Sprintf("durability not confirmed: %v", derr))
-			return
-		}
-	}
-	writeArrivals(w, http.StatusOK, s.ID, accepted, false, "")
-}
-
-// handleStamped consumes one producer-stamped NDJSON batch
-// (X-Producer-Id / X-Producer-Seq). Unlike the streaming path, the
-// whole body is decoded before anything is submitted: the batch is
-// the unit of idempotency, so a truncated or malformed body must
-// consume no sequence number and apply nothing — the client then
-// retries the entire batch under the same (producer, seq) and the
-// dedup window guarantees at-most-once application.
-func handleStamped(s *Session, w http.ResponseWriter, r *http.Request, prod string) {
-	seq, err := strconv.ParseUint(r.Header.Get("X-Producer-Seq"), 10, 64)
-	if err != nil {
-		writeArrivals(w, http.StatusBadRequest, s.ID, 0, false,
-			fmt.Sprintf("bad X-Producer-Seq: %v", err))
-		return
-	}
-	dec := job.GetDecoder(r.Body)
-	defer job.PutDecoder(dec)
-	bp := batchPool.Get().(*[]job.Job)
-	batch := (*bp)[:0]
-	defer func() {
-		*bp = batch[:0]
-		batchPool.Put(bp)
-	}()
-	maxJobs := s.host.cfg.MaxBacklog
-	for {
-		if len(batch) > maxJobs {
-			// Larger than the ring can ever admit: refuse before reading
-			// further (SubmitStamped would refuse it anyway; stopping here
-			// bounds the handler's buffering).
+		if prod != "" && len(batch) > s.host.cfg.MaxBacklog {
 			writeArrivals(w, http.StatusRequestEntityTooLarge, s.ID, 0, false,
-				fmt.Sprintf("stamped batch exceeds backlog bound %d", maxJobs))
+				fmt.Sprintf("stamped batch exceeds backlog bound %d", s.host.cfg.MaxBacklog))
 			return
 		}
 		batch = append(batch, job.Job{})
@@ -331,21 +284,37 @@ func handleStamped(s *Session, w http.ResponseWriter, r *http.Request, prod stri
 			if err == io.EOF {
 				break
 			}
-			writeArrivals(w, http.StatusBadRequest, s.ID, 0, false,
-				fmt.Sprintf("decoding arrival %d: %v", len(batch), err))
+			line := accepted + len(batch)
+			// A stream queues the lines that preceded the malformed one,
+			// then reports it; a submit failure takes precedence (it
+			// carries the session's state, e.g. closing). A stamped body
+			// submits nothing.
+			if prod == "" {
+				if serr := submit(); serr != nil {
+					writeArrivals(w, statusOf(serr), s.ID, accepted, false, serr.Error())
+					return
+				}
+			}
+			writeArrivals(w, http.StatusBadRequest, s.ID, accepted, false,
+				fmt.Sprintf("decoding arrival %d: %v", line, err))
 			return
 		}
+		if prod == "" && len(batch) == ingestBatch {
+			if serr := submit(); serr != nil {
+				writeArrivals(w, statusOf(serr), s.ID, accepted, false, serr.Error())
+				return
+			}
+		}
 	}
-	accepted, pos, dup, err := s.SubmitStamped(r.Context(), prod, seq, batch)
-	if err != nil {
-		writeArrivals(w, statusOf(err), s.ID, 0, false, err.Error())
+	if serr := submit(); serr != nil {
+		writeArrivals(w, statusOf(serr), s.ID, accepted, false, serr.Error())
 		return
 	}
-	// Durable ack: a duplicate waits on the original's position, so a
-	// retry of a batch whose first ack was cut off still means "on
-	// disk" when the 200 lands.
+	// Durable ack: on a WAL-backed host the 200 means "on disk", so park
+	// until an fsync covers the last arrival this request queued — or,
+	// for a duplicate, the original's.
 	if pos > 0 {
-		if derr := s.waitDurablePos(r.Context(), pos); derr != nil {
+		if derr := s.waitDurable(r.Context(), pos); derr != nil {
 			writeArrivals(w, http.StatusInternalServerError, s.ID, accepted, dup,
 				fmt.Sprintf("durability not confirmed: %v", derr))
 			return

@@ -125,7 +125,7 @@ func TestDrainAppliesEveryQueuedBatch(t *testing.T) {
 	for i := 0; i < n; i++ {
 		batch = append(batch, mkJob(i, float64(i)))
 	}
-	if k, err := s.SubmitBatch(context.Background(), batch); k != n || err != nil {
+	if k, _, err := s.SubmitBatch(context.Background(), batch); k != n || err != nil {
 		t.Fatalf("SubmitBatch = %d, %v", k, err)
 	}
 
@@ -188,7 +188,7 @@ func TestConcurrentSubmitCloseRace(t *testing.T) {
 					mkJob(w*1_000_000+2*i, 0),
 					mkJob(w*1_000_000+2*i+1, 0),
 				}
-				if _, err := s.SubmitBatch(context.Background(), batch); err != nil {
+				if _, _, err := s.SubmitBatch(context.Background(), batch); err != nil {
 					if !errors.Is(err, ErrClosing) {
 						t.Errorf("worker %d: %v", w, err)
 					}
@@ -209,6 +209,95 @@ func TestConcurrentSubmitCloseRace(t *testing.T) {
 	}
 	if h.Metrics().SessionsLive() != 0 {
 		t.Fatalf("sessions live = %d", h.Metrics().SessionsLive())
+	}
+}
+
+// TestMixedSubmittersShareOneRing drives stamped and unstamped
+// submitters at one durable session at once, through a ring small
+// enough that they park on each other. Every submit must return the
+// log position of its own last job, so once it is durable a crash
+// loses none of that submitter's arrivals; every stamped batch must
+// drain whole, so recovery rebuilds each producer's window from its
+// one record; and every arrival is applied exactly once.
+func TestMixedSubmittersShareOneRing(t *testing.T) {
+	dir := t.TempDir()
+	st, err := wal.Open(dir, wal.Options{FsyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHost(Config{WAL: st, MaxBacklog: 8})
+	s, err := h.Create("mix", engine.Spec{Name: "oa", M: 1, Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, batches, size = 4, 30, 5
+	// acked[w][b] is the position the submit of worker w's batch b
+	// returned; the batch's last job must sit exactly there in the log.
+	var acked [workers][batches]uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ctx := context.Background()
+			prod := fmt.Sprintf("p%d", w)
+			for b := 0; b < batches; b++ {
+				// Same release everywhere keeps any interleaving
+				// release-ordered; IDs are disjoint per worker.
+				js := make([]job.Job, size)
+				for i := range js {
+					js[i] = mkJob(w*1_000_000+b*size+i, 0)
+				}
+				var pos uint64
+				var err error
+				if w%2 == 0 {
+					_, pos, _, err = s.SubmitStamped(ctx, prod, uint64(b+1), js)
+				} else {
+					_, pos, err = s.SubmitBatch(ctx, js)
+				}
+				if err == nil {
+					err = s.waitDurable(ctx, pos)
+				}
+				if err != nil {
+					t.Errorf("worker %d batch %d: %v", w, b, err)
+					return
+				}
+				acked[w][b] = pos
+			}
+		}(w)
+	}
+	wg.Wait()
+	crash(t, h, st)
+
+	h2, st2, _ := recoverHost(t, dir, Config{MaxBacklog: 8})
+	defer st2.Close()
+	s2, err := h2.Get("mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := map[int]uint64{} // job ID → 1-based log position
+	for i, j := range s2.run.History() {
+		logged[j.ID] = uint64(i + 1)
+	}
+	if len(logged) != workers*batches*size {
+		t.Fatalf("recovered %d arrivals, want %d", len(logged), workers*batches*size)
+	}
+	for w := range acked {
+		for b, pos := range acked[w] {
+			if last := w*1_000_000 + b*size + size - 1; logged[last] != pos {
+				t.Fatalf("worker %d batch %d: acked at position %d, last job logged at %d", w, b, pos, logged[last])
+			}
+		}
+	}
+	ctx := context.Background()
+	for w := 0; w < workers; w += 2 {
+		last := make([]job.Job, size)
+		if acc, _, dup, err := s2.SubmitStamped(ctx, fmt.Sprintf("p%d", w), batches, last); err != nil || !dup || acc != size {
+			t.Fatalf("producer p%d retry after recovery: acc=%d dup=%v err=%v", w, acc, dup, err)
+		}
+	}
+	if _, err := h2.Close("mix"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -264,12 +353,13 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 
 // TestStampedIngestAllocsPerRequest is the allocation guard of the
-// ingest hot path end to end: a stamped 256-line request through
-// NewHandler into a durable host (decode, atomic admission, WAL append,
-// OA apply, durable ack) costs a fixed number of allocations per
-// request, not per arrival. The count is process-wide, so it includes
-// the applier and the WAL syncer goroutines; one allocation per
-// arrival anywhere on that path adds 256 per request.
+// ingest hot path end to end: a 256-line request through NewHandler
+// into a durable host (decode, admission, WAL append, OA apply,
+// durable ack) costs a fixed number of allocations per request, not
+// per arrival — stamped, as loadgen and the benchmark send it, and
+// unstamped, as a plain curl does. The count is process-wide, so it
+// includes the applier and the WAL syncer goroutines; one allocation
+// per arrival anywhere on that path adds 256 per request.
 func TestStampedIngestAllocsPerRequest(t *testing.T) {
 	const lines, warm, runs = 256, 8, 20
 	store, err := wal.Open(t.TempDir(), wal.Options{FsyncInterval: 5 * time.Millisecond})
@@ -279,45 +369,49 @@ func TestStampedIngestAllocsPerRequest(t *testing.T) {
 	defer store.Close()
 	h := NewHost(Config{WAL: store})
 	handler := NewHandler(h)
-	if _, err := h.Create("t", engine.Spec{Name: "oa", M: 1, Alpha: 2}); err != nil {
-		t.Fatal(err)
-	}
 	n := lines * (warm + runs + 1) // AllocsPerRun makes one extra call
 	in := workload.HeavyTail(workload.Config{
 		N: n, M: 1, Alpha: 2, Seed: 17, Horizon: float64(n) / 10, ValueScale: math.Inf(1),
 	})
 	in.Normalize()
-	var reqs []*http.Request
-	for i := 0; i < n; i += lines {
-		var body []byte
-		for _, j := range in.Jobs[i : i+lines] {
-			body = append(job.AppendJSON(body, j), '\n')
+	for _, shape := range []string{"stamped", "unstamped"} {
+		if _, err := h.Create(shape, engine.Spec{Name: "oa", M: 1, Alpha: 2}); err != nil {
+			t.Fatal(err)
 		}
-		r := httptest.NewRequest(http.MethodPost, "/v1/sessions/t/arrivals", bytes.NewReader(body))
-		r.Header.Set("X-Producer-Id", "p")
-		r.Header.Set("X-Producer-Seq", strconv.Itoa(len(reqs)+1))
-		reqs = append(reqs, r)
-	}
-	w := &discardWriter{h: http.Header{}}
-	post := func() {
-		w.status = 0
-		handler.ServeHTTP(w, reqs[0])
-		if w.status != http.StatusOK {
-			t.Fatalf("stamped request answered %d", w.status)
+		var reqs []*http.Request
+		for i := 0; i < n; i += lines {
+			var body []byte
+			for _, j := range in.Jobs[i : i+lines] {
+				body = append(job.AppendJSON(body, j), '\n')
+			}
+			r := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+shape+"/arrivals", bytes.NewReader(body))
+			if shape == "stamped" {
+				r.Header.Set("X-Producer-Id", "p")
+				r.Header.Set("X-Producer-Seq", strconv.Itoa(len(reqs)+1))
+			}
+			reqs = append(reqs, r)
 		}
-		reqs = reqs[1:]
-	}
-	for i := 0; i < warm; i++ {
-		post()
-	}
-	avg := testing.AllocsPerRun(runs, post)
-	if avg > lines/4 {
-		t.Errorf("%.1f allocs per stamped %d-line request (%.3f per arrival), want a per-request constant",
-			avg, lines, avg/lines)
-	}
-	t.Logf("%.1f allocs per stamped %d-line request", avg, lines)
-	if _, err := h.Close("t"); err != nil {
-		t.Fatal(err)
+		w := &discardWriter{h: http.Header{}}
+		post := func() {
+			w.status = 0
+			handler.ServeHTTP(w, reqs[0])
+			if w.status != http.StatusOK {
+				t.Fatalf("%s request answered %d", shape, w.status)
+			}
+			reqs = reqs[1:]
+		}
+		for i := 0; i < warm; i++ {
+			post()
+		}
+		avg := testing.AllocsPerRun(runs, post)
+		if avg > lines/4 {
+			t.Errorf("%.1f allocs per %s %d-line request (%.3f per arrival), want a per-request constant",
+				avg, shape, lines, avg/lines)
+		}
+		t.Logf("%.1f allocs per %s %d-line request", avg, shape, lines)
+		if _, err := h.Close(shape); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

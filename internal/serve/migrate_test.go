@@ -35,10 +35,10 @@ func TestHostMigrationDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitBatch(ctx, in.Jobs[:cut]); err != nil {
+	if _, _, err := s.SubmitBatch(ctx, in.Jobs[:cut]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.waitDurable(ctx); err != nil {
+	if err := waitAdmitted(ctx, s); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestHostMigrationDifferential(t *testing.T) {
 		t.Fatalf("adopted snapshot differs:\n got %s\nwant %s", got, want)
 	}
 
-	if _, err := s2.SubmitBatch(ctx, in.Jobs[cut:]); err != nil {
+	if _, _, err := s2.SubmitBatch(ctx, in.Jobs[cut:]); err != nil {
 		t.Fatal(err)
 	}
 	res, err := dst.Close("mover")

@@ -48,7 +48,7 @@ type arrq struct {
 	closed bool
 	// enq counts every job ever admitted. The applier drains (and the
 	// WAL logs) in admission order, so enq is also the log position of
-	// the last admitted job — the durable-ack wait point.
+	// the last admitted job — the durable-ack wait point push returns.
 	enq uint64
 	// deq counts every job ever drained; marks are consumed when deq
 	// crosses them.
@@ -80,24 +80,33 @@ func newArrq(capacity int, gauge *atomic.Int64) *arrq {
 	}
 }
 
-// push enqueues as much of js as fits, returning how many were taken
-// and whether the queue is closed. A full queue takes nothing; the
-// caller parks on space. When capacity remains after a successful
+// push enqueues jobs under one lock and returns how many it took and
+// the admission position of the last one taken. An unstamped run
+// (producer "") is taken as far as it fits; a stamped batch is taken
+// whole, behind a mark that keeps it together through drainTo, or not
+// at all — the applier must see every job of a stamped batch before it
+// can log the batch as a single WAL record. A full queue takes
+// nothing; the caller parks on space. When capacity remains after a
 // push, the space signal is forwarded so a second parked producer is
 // not stranded behind the first one's wakeup.
 //
 //schedlint:hotpath
-func (q *arrq) push(js []job.Job) (int, bool) {
+func (q *arrq) push(js []job.Job, producer string, seq uint64) (k int, pos uint64, closed bool) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return 0, true
+		return 0, 0, true
 	}
-	k := len(q.buf) - q.n
-	if k > len(js) {
+	k = len(q.buf) - q.n
+	if k >= len(js) {
 		k = len(js)
+	} else if producer != "" {
+		k = 0
 	}
 	if k > 0 {
+		if producer != "" {
+			q.marks = append(q.marks, mark{start: q.enq, count: k, producer: producer, seq: seq})
+		}
 		at := q.head + q.n
 		for i := 0; i < k; i++ {
 			p := at + i
@@ -120,6 +129,7 @@ func (q *arrq) push(js []job.Job) (int, bool) {
 			}
 		}
 	}
+	pos = q.enq
 	q.mu.Unlock()
 	// Updating the backlog gauge outside the queue lock keeps the
 	// critical section call-free (the gauge may momentarily lag the
@@ -127,56 +137,7 @@ func (q *arrq) push(js []job.Job) (int, bool) {
 	if k > 0 {
 		q.gauge.Add(int64(k))
 	}
-	return k, false
-}
-
-// pushAll enqueues the whole batch atomically as one stamped unit, or
-// nothing: the applier must see every job of a stamped batch before it
-// can log the batch as a single WAL record, so partial admission is
-// refused (ok=false; the caller parks on space and retries). tooBig
-// reports a batch that can never fit the ring. pos is the admission
-// position of the batch's last job — the durable-ack point. Runs once
-// per stamped batch, not per job, so it stays off the hot path.
-func (q *arrq) pushAll(js []job.Job, producer string, seq uint64) (pos uint64, ok, closed, tooBig bool) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return 0, false, true, false
-	}
-	if len(js) > len(q.buf) {
-		q.mu.Unlock()
-		return 0, false, false, true
-	}
-	if len(q.buf)-q.n < len(js) {
-		q.mu.Unlock()
-		return 0, false, false, false
-	}
-	at := q.head + q.n
-	for i := range js {
-		p := at + i
-		if p >= len(q.buf) {
-			p -= len(q.buf)
-		}
-		q.buf[p] = js[i]
-	}
-	q.marks = append(q.marks, mark{start: q.enq, count: len(js), producer: producer, seq: seq})
-	q.n += len(js)
-	q.enq += uint64(len(js))
-	pos = q.enq
-	q.qlen.Store(int64(q.n))
-	select {
-	case q.data <- struct{}{}:
-	default:
-	}
-	if q.n < len(q.buf) {
-		select {
-		case q.space <- struct{}{}:
-		default:
-		}
-	}
-	q.mu.Unlock()
-	q.gauge.Add(int64(len(js)))
-	return pos, true, false, false
+	return k, pos, false
 }
 
 // drainTo moves the queued jobs into dst without blocking, stopping
@@ -255,12 +216,3 @@ func (q *arrq) close() {
 
 // length returns the queued-but-undrained count without locking.
 func (q *arrq) length() int { return int(q.qlen.Load()) }
-
-// enqueued returns how many jobs were ever admitted — the durable-ack
-// position of the most recent one.
-func (q *arrq) enqueued() uint64 {
-	q.mu.Lock()
-	e := q.enq
-	q.mu.Unlock()
-	return e
-}

@@ -129,24 +129,12 @@ func (s *Session) maybeCheckpoint() {
 	}
 }
 
-// waitDurable parks until every arrival the session's queue has
-// admitted so far is covered by an fsync — the ack-after-durable gate
-// the arrivals handler passes through before answering 200. The
-// position is read after the caller's last submit, so it may include
-// a concurrent producer's later arrivals: waiting for those too is
-// merely conservative.
-func (s *Session) waitDurable(ctx context.Context) error {
-	if s.wlog == nil {
-		return nil
-	}
-	return s.wlog.WaitDurable(ctx, s.base+s.queue.enqueued())
-}
-
-// waitDurablePos parks until the given absolute log position is
-// durable — the stamped path's ack gate, where the position of the
-// producer's batch is known exactly (a duplicate's position is the
-// original's, already durable or about to be).
-func (s *Session) waitDurablePos(ctx context.Context, pos uint64) error {
+// waitDurable parks until the absolute log position pos — the one a
+// submit returned — is covered by an fsync: the ack-after-durable gate
+// the arrivals handler passes through before answering 200. A
+// duplicate's position is the original's, already durable or about to
+// be.
+func (s *Session) waitDurable(ctx context.Context, pos uint64) error {
 	if s.wlog == nil {
 		return nil
 	}
@@ -251,7 +239,11 @@ func (h *Host) recoverOne(r *wal.Recovered) error {
 	if err != nil {
 		return err
 	}
-	if _, err := h.attach(id, spec, run, l, firstErr, wins); err != nil {
+	if _, err := h.open(func() (*Session, error) {
+		s := h.newSession(id, spec, run, l, wins)
+		s.err = firstErr
+		return s, nil
+	}); err != nil {
 		// Leave the log closed, not registered: at boot the daemon exits
 		// on this error; on an Adopt the tenant's files stay importable
 		// for a retry instead of being pinned by a zombie open log.
@@ -259,62 +251,6 @@ func (h *Host) recoverOne(r *wal.Recovered) error {
 		return fmt.Errorf("serve: recovering %q: %w", id, err)
 	}
 	return nil
-}
-
-// attach registers a recovered session: the same admission,
-// registration and applier startup as Create, around a run and log
-// that already exist. wins seeds both halves of the dedup window —
-// everything replayed is durable, so every recovered producer's ack
-// position is the already-durable base.
-func (h *Host) attach(id string, spec engine.Spec, run *engine.Live, wlog *wal.Log, err0 error, wins map[string]walWindow) (*Session, error) {
-	h.mu.Lock()
-	if h.draining {
-		h.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if h.live >= h.cfg.MaxSessions {
-		h.mu.Unlock()
-		h.metrics.admissionRefused()
-		return nil, fmt.Errorf("%w (%d live)", ErrAdmission, h.cfg.MaxSessions)
-	}
-	h.live++
-	h.creating.Add(1)
-	h.mu.Unlock()
-	defer h.creating.Done()
-
-	base := wlog.Arrivals()
-	producers := make(map[string]*producer, len(wins))
-	logged := make(map[string]walWindow, len(wins))
-	for p, w := range wins {
-		producers[p] = &producer{seq: w.Seq, accepted: w.Accepted, pos: base}
-		logged[p] = w
-	}
-	s := &Session{
-		ID: id, Spec: spec, host: h,
-		queue:     newArrq(h.cfg.MaxBacklog, &h.backlog),
-		done:      make(chan struct{}),
-		closeCh:   make(chan struct{}),
-		run:       run,
-		wlog:      wlog,
-		base:      base,
-		err:       err0,
-		producers: producers,
-		logged:    logged,
-	}
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.sessions[id]; dup {
-		sh.mu.Unlock()
-		h.mu.Lock()
-		h.live--
-		h.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDuplicate, id)
-	}
-	sh.sessions[id] = s
-	sh.mu.Unlock()
-	go s.apply()
-	h.metrics.sessionOpened()
-	return s, nil
 }
 
 // WriteWalMetrics renders the WAL section of the /metrics scrape; a

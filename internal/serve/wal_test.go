@@ -29,7 +29,7 @@ func crash(t testing.TB, h *Host, st *wal.Store) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.waitDurable(context.Background()); err != nil {
+		if err := waitAdmitted(context.Background(), s); err != nil {
 			t.Fatalf("waiting out %s before crash: %v", id, err)
 		}
 		s.closed.Do(func() { close(s.closeCh) })
@@ -39,6 +39,15 @@ func crash(t testing.TB, h *Host, st *wal.Store) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// waitAdmitted parks until everything the session has admitted so far
+// is durable.
+func waitAdmitted(ctx context.Context, s *Session) error {
+	s.queue.mu.Lock()
+	pos := s.base + s.queue.enq
+	s.queue.mu.Unlock()
+	return s.waitDurable(ctx, pos)
 }
 
 // recoverHost opens a fresh store over dir and rebuilds a host from it.
@@ -153,10 +162,10 @@ func TestHostWALCheckpointRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, s, in)
-	if err := s.waitDurable(context.Background()); err != nil {
+	if err := waitAdmitted(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
-	// waitDurable covers the append, not the apply: on a starved
+	// waitAdmitted covers the append, not the apply: on a starved
 	// scheduler (one core under -race) the applier may still be inside
 	// its final ApplyBatch here, with maybeCheckpoint yet to run. A
 	// checkpoint is inevitable — 200 arrivals since the last cut with
@@ -217,12 +226,12 @@ func TestHostWALErrorStateRecovery(t *testing.T) {
 	for i := range good {
 		good[i] = job.Job{ID: i + 1, Release: float64(i), Deadline: float64(i) + 20, Work: 1, Value: 4}
 	}
-	if _, err := s.SubmitBatch(ctx, good); err != nil {
+	if _, _, err := s.SubmitBatch(ctx, good); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate ID: refused by the engine, but logged all the same.
 	dup := []job.Job{{ID: 3, Release: 10, Deadline: 30, Work: 1, Value: 4}}
-	if _, err := s.SubmitBatch(ctx, dup); err != nil {
+	if _, _, err := s.SubmitBatch(ctx, dup); err != nil {
 		t.Fatal(err) // queued fine; the refusal happens at apply
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -243,7 +252,7 @@ func TestHostWALErrorStateRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.SubmitBatch(ctx, good[:1]); err == nil {
+	if _, _, err := s2.SubmitBatch(ctx, good[:1]); err == nil {
 		t.Fatal("recovered error state does not fail submits fast")
 	}
 	if _, err := h2.Close("poison"); err == nil || !strings.Contains(err.Error(), "duplicate job ID 3") {
@@ -298,7 +307,7 @@ func TestHostWALDuplicateAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitBatch(context.Background(), []job.Job{{ID: 1, Release: 0, Deadline: 9, Work: 1, Value: 2}}); err != nil {
+	if _, _, err := s.SubmitBatch(context.Background(), []job.Job{{ID: 1, Release: 0, Deadline: 9, Work: 1, Value: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	crash(t, h, st)

@@ -181,52 +181,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Bucket is one cumulative bucket for Prometheus-style rendering:
-// Count observations were ≤ UpperBound.
-type Bucket struct {
-	UpperBound float64 // +Inf for the overflow bucket
-	Count      uint64  // cumulative
-}
-
-// Buckets returns the cumulative nonempty buckets plus the +Inf
-// terminator — the `le` series of a Prometheus histogram. Empty
-// buckets are skipped (cumulative counts make them redundant), so the
-// series stays short however wide the fixed layout is.
-func (h *Histogram) Buckets() []Bucket {
-	var out []Bucket
-	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		out = append(out, Bucket{UpperBound: histUpperBound(i), Count: cum})
-	}
-	if len(out) == 0 || !math.IsInf(out[len(out)-1].UpperBound, 1) {
-		out = append(out, Bucket{UpperBound: math.Inf(1), Count: cum})
-	}
-	return out
-}
-
-// VisitBuckets walks the cumulative nonempty buckets plus the +Inf
-// terminator in upper-bound order — the same series Buckets returns,
-// but without allocating, for the daemon's pooled metrics scrape.
-//
-// Callers on allocation-free paths should prefer Cursor: a closure
-// that captures locals is itself a heap allocation at the call site.
-func (h *Histogram) VisitBuckets(visit func(upperBound float64, cum uint64)) {
-	for c := h.Cursor(); ; {
-		ub, cum, ok := c.Next()
-		if !ok {
-			return
-		}
-		visit(ub, cum)
-	}
-}
-
-// BucketCursor iterates the same cumulative bucket series as
-// VisitBuckets, closure-free: the cursor is a plain value the caller
-// keeps on its stack, so hot render paths pay zero allocations.
+// BucketCursor walks the cumulative nonempty buckets plus the +Inf
+// terminator in upper-bound order — the `le` series of a Prometheus
+// histogram. Empty buckets are skipped (cumulative counts make them
+// redundant), so the series stays short however wide the fixed layout
+// is. The cursor is a plain value the caller keeps on its stack, so
+// hot render paths pay zero allocations.
 type BucketCursor struct {
 	h          *Histogram
 	i          int

@@ -8,6 +8,24 @@ import (
 	"testing"
 )
 
+// bucket is one entry of the cumulative series a BucketCursor walks.
+type bucket struct {
+	ub  float64
+	cum uint64
+}
+
+// series collects h's cumulative bucket series through its Cursor.
+func series(h *Histogram) []bucket {
+	var out []bucket
+	for c := h.Cursor(); ; {
+		ub, cum, ok := c.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, bucket{ub, cum})
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 || h.Sum() != 0 {
@@ -16,8 +34,8 @@ func TestHistogramEmpty(t *testing.T) {
 	if !math.IsNaN(h.Quantile(0.5)) || !math.IsNaN(h.Mean()) {
 		t.Fatal("empty histogram must report NaN quantiles and mean")
 	}
-	b := h.Buckets()
-	if len(b) != 1 || !math.IsInf(b[0].UpperBound, 1) || b[0].Count != 0 {
+	b := series(&h)
+	if len(b) != 1 || !math.IsInf(b[0].ub, 1) || b[0].cum != 0 {
 		t.Fatalf("empty histogram buckets = %v, want single empty +Inf bucket", b)
 	}
 	if h.String() != "n=0" {
@@ -97,7 +115,7 @@ func TestHistogramMergeIsExact(t *testing.T) {
 	if math.Abs(merged.Sum()-whole.Sum()) > 1e-9*whole.Sum() {
 		t.Fatalf("merged sum %v != whole sum %v", merged.Sum(), whole.Sum())
 	}
-	wb, mb := whole.Buckets(), merged.Buckets()
+	wb, mb := series(&whole), series(&merged)
 	if len(wb) != len(mb) {
 		t.Fatalf("bucket series lengths differ: %d vs %d", len(wb), len(mb))
 	}
@@ -130,10 +148,14 @@ func TestHistogramOutOfRangeAndJunk(t *testing.T) {
 	if h.Min() != 0 || h.Max() != 1e99 {
 		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
 	}
-	b := h.Buckets()
+	b := series(&h)
 	last := b[len(b)-1]
-	if !math.IsInf(last.UpperBound, 1) || last.Count != 3 {
+	if !math.IsInf(last.ub, 1) || last.cum != 3 {
 		t.Fatalf("overflow bucket = %v", last)
+	}
+	// The overflow bucket is the +Inf terminator; it is not repeated.
+	if math.IsInf(b[len(b)-2].ub, 1) {
+		t.Fatalf("+Inf bucket emitted twice: %v", b)
 	}
 }
 
@@ -142,16 +164,16 @@ func TestHistogramBucketsCumulativeAndSorted(t *testing.T) {
 	for _, x := range []float64{1e-6, 1e-3, 1e-3, 1, 1000} {
 		h.Observe(x)
 	}
-	b := h.Buckets()
+	b := series(&h)
 	for i := 1; i < len(b); i++ {
-		if b[i].UpperBound <= b[i-1].UpperBound {
+		if b[i].ub <= b[i-1].ub {
 			t.Fatalf("bucket bounds not increasing at %d: %v", i, b)
 		}
-		if b[i].Count < b[i-1].Count {
+		if b[i].cum < b[i-1].cum {
 			t.Fatalf("bucket counts not cumulative at %d: %v", i, b)
 		}
 	}
-	if b[len(b)-1].Count != h.Count() {
+	if b[len(b)-1].cum != h.Count() {
 		t.Fatal("final cumulative count must equal total")
 	}
 	if !strings.Contains(h.String(), "n=5") {
@@ -197,32 +219,5 @@ func TestObserveNMatchesRepeatedObserve(t *testing.T) {
 	}
 	if got, want := batched.String(), looped.String(); got != want {
 		t.Fatalf("summary diverges: %q vs %q", got, want)
-	}
-}
-
-// TestVisitBucketsMatchesBuckets pins the alloc-free iteration against
-// the allocating Buckets slice, including the +Inf terminator on
-// histograms that never hit the overflow bucket.
-func TestVisitBucketsMatchesBuckets(t *testing.T) {
-	for name, fill := range map[string]func(h *Histogram){
-		"empty":    func(h *Histogram) {},
-		"typical":  func(h *Histogram) { h.Observe(1e-4); h.Observe(3e-2); h.Observe(3e-2) },
-		"overflow": func(h *Histogram) { h.Observe(1e99); h.Observe(2) },
-	} {
-		var h Histogram
-		fill(&h)
-		want := h.Buckets()
-		var got []Bucket
-		h.VisitBuckets(func(ub float64, cum uint64) {
-			got = append(got, Bucket{UpperBound: ub, Count: cum})
-		})
-		if len(got) != len(want) {
-			t.Fatalf("%s: VisitBuckets emitted %d entries, Buckets %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: bucket %d: %+v vs %+v", name, i, got[i], want[i])
-			}
-		}
 	}
 }

@@ -88,7 +88,7 @@ func (l *Log) Checkpoint(meta []byte, history []job.Job) error {
 			if end > len(history) {
 				end = len(history)
 			}
-			b = appendBatchFrame(l.scratch[:0], history[off:end])
+			b = appendBatchFrame(l.scratch[:0], "", 0, history[off:end])
 			if _, err := f.Write(b); err != nil {
 				return err
 			}

@@ -70,16 +70,19 @@ const (
 )
 
 const (
-	segMagic    = "SWAL0001"
-	ckptMagic   = "SCKP0001"
-	expMagic    = "SEXP0001"
-	frameSize   = 9       // length u32 + crc u32 + type u8
-	maxRecord   = 1 << 30 // sanity bound on one record's length field
-	maxTenant   = 100     // id bytes; hex doubles it, filenames cap at 255
-	maxProducer = 1 << 16 // producer id bytes a stamped record can carry
-	ckptChunk   = 4096    // jobs per checkpoint batch record
-	defSegSize  = 4 << 20
+	segMagic   = "SWAL0001"
+	ckptMagic  = "SCKP0001"
+	expMagic   = "SEXP0001"
+	frameSize  = 9       // length u32 + crc u32 + type u8
+	maxRecord  = 1 << 30 // sanity bound on one record's length field
+	maxTenant  = 100     // id bytes; hex doubles it, filenames cap at 255
+	ckptChunk  = 4096    // jobs per checkpoint batch record
+	defSegSize = 4 << 20
 )
+
+// MaxProducer is the longest producer id, in bytes, a stamped record
+// can carry: its length travels as a u16.
+const MaxProducer = 1<<16 - 1
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -466,34 +469,24 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 }
 
 // appendBatchFrame builds a batch record around the jobs' NDJSON
-// encoding without an intermediate payload buffer.
+// encoding without an intermediate payload buffer. A stamped batch
+// (non-empty producer) carries its producer id and sequence in front
+// of the jobs, so replay rebuilds the dedup window from the same bytes
+// that rebuild the session.
 //
 //schedlint:hotpath
-func appendBatchFrame(dst []byte, js []job.Job) []byte {
+func appendBatchFrame(dst []byte, producer string, seq uint64, js []job.Job) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // length backfilled
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc backfilled
 	at := len(dst)
-	dst = append(dst, recBatch)
-	dst = job.AppendNDJSON(dst, js)
-	binary.LittleEndian.PutUint32(dst[at-8:at-4], uint32(len(dst)-at))
-	binary.LittleEndian.PutUint32(dst[at-4:at], crc32.Checksum(dst[at:], castagnoli))
-	return dst
-}
-
-// appendStampedFrame builds a stamped batch record: the producer id
-// and sequence ride in front of the jobs' NDJSON encoding, so replay
-// rebuilds the dedup window from the same bytes that rebuild the
-// session.
-//
-//schedlint:hotpath
-func appendStampedFrame(dst []byte, producer string, seq uint64, js []job.Job) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // length backfilled
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc backfilled
-	at := len(dst)
-	dst = append(dst, recStamped)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(producer)))
-	dst = append(dst, producer...)
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	if producer == "" {
+		dst = append(dst, recBatch)
+	} else {
+		dst = append(dst, recStamped)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(producer)))
+		dst = append(dst, producer...)
+		dst = binary.LittleEndian.AppendUint64(dst, seq)
+	}
 	dst = job.AppendNDJSON(dst, js)
 	binary.LittleEndian.PutUint32(dst[at-8:at-4], uint32(len(dst)-at))
 	binary.LittleEndian.PutUint32(dst[at-4:at], crc32.Checksum(dst[at:], castagnoli))
@@ -522,19 +515,15 @@ func (l *Log) AppendStamped(producer string, seq uint64, js []job.Job) (uint64, 
 	if len(js) == 0 {
 		return l.Arrivals(), nil
 	}
-	if len(producer) >= maxProducer {
-		return 0, fmt.Errorf("wal: producer id longer than %d bytes", maxProducer-1) //schedlint:allowalloc rejected-input path, never steady state
+	if len(producer) > MaxProducer {
+		return 0, fmt.Errorf("wal: producer id longer than %d bytes", MaxProducer) //schedlint:allowalloc rejected-input path, never steady state
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
 		return 0, err
 	}
-	if producer == "" {
-		l.scratch = appendBatchFrame(l.scratch[:0], js)
-	} else {
-		l.scratch = appendStampedFrame(l.scratch[:0], producer, seq, js)
-	}
+	l.scratch = appendBatchFrame(l.scratch[:0], producer, seq, js)
 	if l.size > int64(len(segMagic)) && l.size+int64(len(l.scratch)) > l.store.opt.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.sticky = err

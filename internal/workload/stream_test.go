@@ -96,7 +96,11 @@ func TestStreamIntoSessionMatchesBatchReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", genName, policy, err)
 			}
-			if err := NewStream(in, 0).Play(context.Background(), l.Arrive); err != nil {
+			arrive := func(j job.Job) error {
+				_, err := l.ApplyBatch([]job.Job{j})
+				return err
+			}
+			if err := NewStream(in, 0).Play(context.Background(), arrive); err != nil {
 				t.Fatalf("%s/%s: play: %v", genName, policy, err)
 			}
 			streamed, err := l.Close()
