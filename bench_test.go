@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/job"
 	"repro/internal/opt"
 	"repro/internal/power"
 	"repro/internal/stats"
@@ -249,38 +250,55 @@ func BenchmarkRace(b *testing.B) {
 // allocs/op divided by n is the (amortized) allocs-per-arrival, with
 // Close and verification excluded from both timer and allocation
 // accounting.
+//
+// The pd arms replay the trace shape of schedd's pd-m4 benchmark
+// (Poisson, two arrivals per time unit, α = 2.5, values at scale 1, so
+// about a third of the jobs are rejected) at m = 1 and m = 4.
 func BenchmarkSessionPerArrival(b *testing.B) {
+	sizes := []int{1_000, 10_000, 100_000}
 	for _, name := range []string{"oa", "avr", "qoa"} {
-		for _, n := range []int{1_000, 10_000, 100_000} {
+		for _, n := range sizes {
 			in := workload.HeavyTail(workload.Config{
 				N: n, M: 1, Alpha: 2, Seed: 17, Horizon: float64(n) / 10, ValueScale: math.Inf(1),
 			})
 			in.Normalize()
-			spec := engine.Spec{Name: name, M: 1, Alpha: 2}
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					p, err := engine.New(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					for _, j := range in.Jobs {
-						if err := p.Arrive(j); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					if _, err := p.Close(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arrival")
-			})
+			benchSession(b, name, engine.Spec{Name: name, M: 1, Alpha: 2}, in)
 		}
 	}
+	for _, m := range []int{1, 4} {
+		for _, n := range sizes {
+			in := workload.Poisson(workload.Config{
+				N: n, M: m, Alpha: 2.5, Seed: 17, Horizon: float64(n) / 2, ValueScale: 1,
+			})
+			benchSession(b, fmt.Sprintf("pd-m%d", m), engine.Spec{Name: "pd", M: m, Alpha: 2.5}, in)
+		}
+	}
+}
+
+func benchSession(b *testing.B, arm string, spec engine.Spec, in *job.Instance) {
+	n := len(in.Jobs)
+	b.Run(fmt.Sprintf("%s/n=%d", arm, n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p, err := engine.New(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, j := range in.Jobs {
+				if err := p.Arrive(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if _, err := p.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arrival")
+	})
 }
 
 func BenchmarkOAOnline(b *testing.B) {

@@ -158,7 +158,9 @@ func runSingle(in *job.Instance, reg *engine.Registry, algo string, delta float6
 	}
 	// Refuse unsupported extras before the replay runs: a failed
 	// invocation must not first print a complete-looking report.
-	dumper, canDump := p.(interface{ IntervalStates() []core.IntervalState })
+	dumper, canDump := p.(interface {
+		IntervalStates(*job.Instance) ([]core.IntervalState, error)
+	})
 	if dump && !canDump {
 		return fmt.Errorf("-dump: algorithm %q does not expose per-interval state", algo)
 	}
@@ -186,8 +188,12 @@ func runSingle(in *job.Instance, reg *engine.Registry, algo string, delta float6
 		fmt.Fprintf(w, "certified opt gap  %12.6g\n", g.OptimalityGap())
 	}
 	if dump {
+		states, err := dumper.IntervalStates(in)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(w, "\nper-interval assignment:")
-		for _, st := range dumper.IntervalStates() {
+		for _, st := range states {
 			fmt.Fprintf(w, "  [%.4g, %.4g) energy %.4g loads %v\n", st.T0, st.T1, st.Energy, st.Load)
 		}
 	}

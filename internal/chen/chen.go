@@ -30,8 +30,9 @@
 package chen
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/power"
 	"repro/internal/sched"
@@ -61,24 +62,37 @@ type Partition struct {
 	PoolSpeed float64
 }
 
-// sortItems returns items sorted by workload descending (ties by ID for
-// determinism).
+// SortItems sorts items in place by workload descending, ties by ID:
+// the order Partition and AppendTimeline work in. With distinct IDs
+// the order is total, so any sort lands on the same sequence.
+func SortItems(items []Item) {
+	slices.SortFunc(items, func(a, b Item) int {
+		if a.Work != b.Work { //schedlint:exactfloat sort tie-break on values copied bit-for-bit
+			if a.Work > b.Work {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+}
+
+// sortItems returns a sorted copy of items.
 func sortItems(items []Item) []Item {
 	s := make([]Item, len(items))
 	copy(s, items)
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].Work != s[b].Work { //schedlint:exactfloat sort tie-break on values copied bit-for-bit
-			return s[a].Work > s[b].Work
-		}
-		return s[a].ID < s[b].ID
-	})
+	SortItems(s)
 	return s
 }
 
 // Partition computes the dedicated/pool split of Eq. (5) for an
 // interval of length l > 0.
 func (sys System) Partition(l float64, items []Item) Partition {
-	sorted := sortItems(items)
+	return sys.split(l, sortItems(items))
+}
+
+// split is Partition over items already in SortItems order.
+func (sys System) split(l float64, sorted []Item) Partition {
 	var total float64
 	for _, it := range sorted {
 		total += it.Work
@@ -210,19 +224,24 @@ func (sys System) WorkAtSpeed(l float64, others []Item, s float64) float64 {
 // the interval length (its workload is strictly below the pool
 // average — see the prefix-property argument above).
 func (sys System) Timeline(t0, t1 float64, items []Item) []sched.Segment {
+	return sys.AppendTimeline(nil, t0, t1, sortItems(items))
+}
+
+// AppendTimeline appends Timeline's segments to dst, for items already
+// in SortItems order. It allocates nothing beyond dst's growth.
+func (sys System) AppendTimeline(dst []sched.Segment, t0, t1 float64, sorted []Item) []sched.Segment {
 	l := t1 - t0
-	p := sys.Partition(l, items)
-	var segs []sched.Segment
+	p := sys.split(l, sorted)
 	for i, it := range p.Dedicated {
 		if it.Work <= 0 {
 			continue
 		}
-		segs = append(segs, sched.Segment{
+		dst = append(dst, sched.Segment{
 			Proc: i, Job: it.ID, T0: t0, T1: t1, Speed: it.Work / l,
 		})
 	}
 	if p.PoolSpeed <= 0 {
-		return segs
+		return dst
 	}
 	proc := len(p.Dedicated)
 	offset := 0.0 // time already filled on current pool processor
@@ -240,7 +259,7 @@ func (sys System) Timeline(t0, t1 float64, items []Item) []sched.Segment {
 				continue
 			}
 			take := math.Min(dur, avail)
-			segs = append(segs, sched.Segment{
+			dst = append(dst, sched.Segment{
 				Proc: proc, Job: it.ID,
 				T0: t0 + offset, T1: t0 + offset + take,
 				Speed: p.PoolSpeed,
@@ -249,5 +268,5 @@ func (sys System) Timeline(t0, t1 float64, items []Item) []sched.Segment {
 			offset += take
 		}
 	}
-	return segs
+	return dst
 }

@@ -12,7 +12,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -155,25 +154,26 @@ func Replay(in *job.Instance, p Policy) (*Result, error) {
 
 // --- Built-in policy adapters ---
 
-// pdPolicy adapts core.Scheduler, the paper's truly-online algorithm.
+// pdPolicy adapts core.Session, the paper's truly-online algorithm
+// maintained over the live suffix of its partition. Its decisions,
+// schedule, snapshots and certificate are bit-identical to
+// core.Scheduler's, the reference.
 type pdPolicy struct {
-	s        *core.Scheduler
-	arrivals int
-	lastAt   float64
+	s   *core.Session
+	ref func() *core.Scheduler // the reference, built with the same parameters
 }
 
 func newPD(m int, pm power.Model, opts ...core.Option) *pdPolicy {
-	return &pdPolicy{s: core.New(m, pm, opts...)}
+	return &pdPolicy{
+		s:   core.NewSession(m, pm, opts...),
+		ref: func() *core.Scheduler { return core.New(m, pm, opts...) },
+	}
 }
 
 func (p *pdPolicy) Name() string { return "pd" }
 
 func (p *pdPolicy) Arrive(j job.Job) error {
 	_, err := p.s.Arrive(j)
-	if err == nil {
-		p.arrivals++
-		p.lastAt = j.Release
-	}
 	return err
 }
 
@@ -183,40 +183,30 @@ func (p *pdPolicy) Close() (*sched.Schedule, error) { return p.s.Schedule(), nil
 // reporting (the CLI discovers it by interface assertion).
 func (p *pdPolicy) DualValue() float64 { return p.s.DualValue() }
 
-// IntervalStates exposes PD's per-interval primal state for -dump.
-func (p *pdPolicy) IntervalStates() []core.IntervalState { return p.s.Snapshot() }
-
-// Snapshot reports PD's committed plan from the frontier on: work the
-// partition still schedules at or after the last arrival. Within the
-// frontier's own interval the remaining share is prorated by time.
-func (p *pdPolicy) Snapshot() Snapshot {
-	snap := Snapshot{At: p.lastAt, Arrivals: p.arrivals}
-	pending := map[int]struct{}{}
-	for _, st := range p.s.Snapshot() {
-		if st.T1 <= p.lastAt {
-			continue
-		}
-		frac := 1.0
-		if st.T0 < p.lastAt {
-			frac = (st.T1 - p.lastAt) / (st.T1 - st.T0)
-		}
-		ids := make([]int, 0, len(st.Load))
-		for id := range st.Load {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			snap.PendingWork += st.Load[id] * frac
-			pending[id] = struct{}{}
-		}
-		if st.T0 <= p.lastAt && p.lastAt < st.T1 {
-			for _, id := range ids {
-				snap.Speed += st.Speeds[id]
-			}
+// IntervalStates recomputes PD's per-interval primal state over the
+// instance for -dump. The session keeps no per-interval history, so
+// the reference scheduler replays the trace.
+func (p *pdPolicy) IntervalStates(in *job.Instance) ([]core.IntervalState, error) {
+	inst := in.Clone()
+	inst.Normalize()
+	ref := p.ref()
+	for _, j := range inst.Jobs {
+		if _, err := ref.Arrive(j); err != nil {
+			return nil, err
 		}
 	}
-	snap.Pending = len(pending)
-	return snap
+	return ref.Snapshot(), nil
+}
+
+// Snapshot reports PD's committed plan from the frontier on: work the
+// partition still schedules at or after the last arrival, and the
+// summed speed of the jobs in the interval that starts there.
+func (p *pdPolicy) Snapshot() Snapshot {
+	st := p.s.State()
+	return Snapshot{
+		At: st.Time, Arrivals: st.Arrivals, Pending: st.Pending,
+		PendingWork: st.PendingWork, Speed: st.Speed,
+	}
 }
 
 // liveSession is the shape of the incremental planners in yds.

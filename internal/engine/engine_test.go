@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/numeric"
+	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -193,5 +196,69 @@ func TestPDSnapshotObservesPlan(t *testing.T) {
 	}
 	if _, err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refPDSnapshot is pdPolicy.Snapshot as it read over core.Scheduler
+// before PD moved onto core.Session. A checkpoint written by that code
+// holds these bytes, and recovery byte-compares a replayed snapshot
+// against them.
+func refPDSnapshot(s *core.Scheduler, arrivals int, lastAt float64) Snapshot {
+	snap := Snapshot{At: lastAt, Arrivals: arrivals}
+	pending := map[int]struct{}{}
+	for _, st := range s.Snapshot() {
+		if st.T1 <= lastAt {
+			continue
+		}
+		frac := 1.0
+		if st.T0 < lastAt {
+			frac = (st.T1 - lastAt) / (st.T1 - st.T0)
+		}
+		ids := make([]int, 0, len(st.Load))
+		for id := range st.Load {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			snap.PendingWork += st.Load[id] * frac
+			pending[id] = struct{}{}
+		}
+		if st.T0 <= lastAt && lastAt < st.T1 {
+			for _, id := range ids {
+				snap.Speed += st.Speeds[id]
+			}
+		}
+	}
+	snap.Pending = len(pending)
+	return snap
+}
+
+// TestPDSnapshotMatchesReference pins PD's snapshot bytes to the
+// reference's at m ∈ {1, 2, 4}, after every fifth arrival of a
+// pd-m4-shaped trace (Poisson, two arrivals per time unit, a third
+// rejected).
+func TestPDSnapshotMatchesReference(t *testing.T) {
+	for _, m := range []int{1, 2, 4} {
+		in := workload.Poisson(workload.Config{N: 800, M: m, Alpha: 2.5, Seed: int64(40 + m), Horizon: 400, ValueScale: 1})
+		s, _ := SessionOf(mustNew(t, Spec{Name: "pd", M: m, Alpha: in.Alpha}))
+		ref := core.New(m, power.Model{Alpha: in.Alpha})
+		if got, want := s.Snapshot().AppendJSON(nil), refPDSnapshot(ref, 0, 0).AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("m=%d: empty snapshot %s, reference %s", m, got, want)
+		}
+		for i, j := range in.Jobs {
+			if err := s.Arrive(j); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Arrive(j); err != nil {
+				t.Fatal(err)
+			}
+			if i%5 != 0 && i != len(in.Jobs)-1 {
+				continue
+			}
+			got, want := s.Snapshot().AppendJSON(nil), refPDSnapshot(ref, i+1, j.Release).AppendJSON(nil)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("m=%d, after arrival %d: snapshot %s, reference %s", m, i, got, want)
+			}
+		}
 	}
 }

@@ -274,6 +274,42 @@ func TestSessionPerArrivalStaysFlat(t *testing.T) {
 	}
 }
 
+// TestPDPerArrivalStaysFlat is the accidental-quadratic guard for PD,
+// on a 16,384-arrival trace shaped like schedd's pd-m4 benchmark
+// (Poisson, two arrivals per time unit, α = 2.5, values at scale 1).
+// The last 1,000 arrivals may cost at most 2× what arrivals 1,000 to
+// 1,999 cost, best of three runs, at m = 1 and m = 4. A PD that scans
+// or shifts every interval it ever created reads 4–6× here.
+func TestPDPerArrivalStaysFlat(t *testing.T) {
+	const n, block = 16_384, 1_000
+	for _, m := range []int{1, 4} {
+		in := workload.Poisson(workload.Config{N: n, M: m, Alpha: 2.5, Seed: 23, Horizon: n / 2, ValueScale: 1})
+		spec := Spec{Name: "pd", M: m, Alpha: in.Alpha}
+		early, late := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for run := 0; run < 3 && (run == 0 || late > 2*early); run++ {
+			p := mustNew(t, spec)
+			var start time.Time
+			for i, j := range in.Jobs {
+				switch i {
+				case block, n - block:
+					start = time.Now()
+				case 2 * block:
+					early = min(early, time.Since(start))
+				}
+				if err := p.Arrive(j); err != nil {
+					t.Fatalf("m=%d: arrival %d: %v", m, i, err)
+				}
+			}
+			late = min(late, time.Since(start))
+		}
+		t.Logf("m=%d: %v per arrival over arrivals 1000–1999, %v over the last 1000", m, early/block, late/block)
+		if late > 2*early {
+			t.Errorf("m=%d: the last %d arrivals took %v, more than 2× the %v of arrivals %d–%d",
+				m, block, late, early, block, 2*block-1)
+		}
+	}
+}
+
 // TestApplyBatchMatchesSequentialArrive pins the batched ingest path
 // at the engine layer: a trace fed through ApplyBatch under arbitrary
 // batch boundaries must close to a Result byte-identical to Replay,

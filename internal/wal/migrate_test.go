@@ -81,7 +81,7 @@ func seedTenant(t *testing.T, st *Store, tenant string) ([]job.Job, *Log) {
 	}
 	var all []job.Job
 	pre := mkJobs(0, 9)
-	if _, err := l.AppendBatch(pre); err != nil {
+	if _, err := l.AppendStamped("", 0, pre); err != nil {
 		t.Fatal(err)
 	}
 	all = append(all, pre...)
@@ -89,7 +89,7 @@ func seedTenant(t *testing.T, st *Store, tenant string) ([]job.Job, *Log) {
 		t.Fatal(err)
 	}
 	post := mkJobs(200, 5)
-	if _, err := l.AppendBatch(post); err != nil {
+	if _, err := l.AppendStamped("", 0, post); err != nil {
 		t.Fatal(err)
 	}
 	return append(all, post...), l
@@ -160,7 +160,7 @@ func TestExportImportOverNetwork(t *testing.T) {
 	if resumed.Arrivals() != uint64(len(all)) {
 		t.Fatalf("resumed arrivals = %d, want %d", resumed.Arrivals(), len(all))
 	}
-	if _, err := resumed.AppendBatch(mkJobs(1000, 2)); err != nil {
+	if _, err := resumed.AppendStamped("", 0, mkJobs(1000, 2)); err != nil {
 		t.Fatalf("append on migrated log: %v", err)
 	}
 }

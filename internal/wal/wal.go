@@ -21,7 +21,7 @@
 // same damage anywhere before the final segment's tail is corruption
 // and refuses recovery instead of silently skipping records.
 //
-// Durability contract. AppendBatch buffers nothing: the record is
+// Durability contract. AppendStamped buffers nothing: the record is
 // written to the segment with one write syscall, and the returned
 // position becomes durable only after an fsync covers it. A dedicated
 // syncer goroutine batches fsyncs across all dirty tenants every
@@ -29,7 +29,7 @@
 // waits on the disk, and callers that need the ack-after-durable
 // guarantee park in WaitDurable until the watermark passes their
 // position. FsyncInterval <= 0 degenerates to synchronous appends
-// (every AppendBatch fsyncs before returning): the simple mode tests
+// (every AppendStamped fsyncs before returning): the simple mode tests
 // use.
 //
 // The payloads the WAL does not interpret (open records, checkpoint
@@ -493,22 +493,15 @@ func appendBatchFrame(dst []byte, producer string, seq uint64, js []job.Job) []b
 	return dst
 }
 
-// AppendBatch logs one drained arrival batch with a single write
+// AppendStamped logs one drained arrival batch with a single write
 // syscall and returns the log position after it (cumulative arrival
 // count). The position is NOT yet durable: callers that promised
-// durability to a client park in WaitDurable. The record is built in
-// the log's reused scratch buffer — the steady-state append path
-// allocates nothing.
-//
-//schedlint:hotpath
-func (l *Log) AppendBatch(js []job.Job) (uint64, error) {
-	return l.AppendStamped("", 0, js)
-}
-
-// AppendStamped is AppendBatch for a producer-stamped batch: the
-// (producer, seq) stamp is journaled with the jobs so recovery can
-// rebuild the dedup window byte-identically. An empty producer writes
-// a plain batch record — the unstamped path is the same code.
+// durability to a client park in WaitDurable. A producer stamp
+// (producer, seq) is journaled with the jobs so recovery can rebuild
+// the dedup window byte-identically; an empty producer writes a plain
+// batch record through the same code. The record is built in the
+// log's reused scratch buffer — the steady-state append path allocates
+// nothing.
 //
 //schedlint:hotpath
 func (l *Log) AppendStamped(producer string, seq uint64, js []job.Job) (uint64, error) {
@@ -601,7 +594,7 @@ func (l *Log) notifyLocked() {
 }
 
 // WaitDurable parks until the durable watermark reaches pos (a value
-// AppendBatch returned), the ctx dies, or the log fails. This is the
+// AppendStamped returned), the ctx dies, or the log fails. This is the
 // ack-after-durable edge: the HTTP layer answers an arrivals request
 // only after the last arrival it queued passes this gate.
 func (l *Log) WaitDurable(ctx context.Context, pos uint64) error {

@@ -75,15 +75,15 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	var want []job.Job
 	for i := 0; i < 5; i++ {
 		js := mkJobs(i*10, 7)
-		pos, err := l.AppendBatch(js)
+		pos, err := l.AppendStamped("", 0, js)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, js...)
 		if pos != uint64(len(want)) {
-			t.Fatalf("AppendBatch pos = %d, want %d", pos, len(want))
+			t.Fatalf("AppendStamped pos = %d, want %d", pos, len(want))
 		}
-		// Sync mode: the position is durable before AppendBatch returns.
+		// Sync mode: the position is durable before AppendStamped returns.
 		if err := l.WaitDurable(context.Background(), pos); err != nil {
 			t.Fatalf("WaitDurable(%d): %v", pos, err)
 		}
@@ -111,7 +111,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if l2.Arrivals() != uint64(len(want)) {
 		t.Fatalf("resumed arrivals = %d, want %d", l2.Arrivals(), len(want))
 	}
-	if _, err := l2.AppendBatch(mkJobs(1000, 3)); err != nil {
+	if _, err := l2.AppendStamped("", 0, mkJobs(1000, 3)); err != nil {
 		t.Fatalf("append on resumed log: %v", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestGroupFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos, err := l.AppendBatch(mkJobs(0, 4))
+	pos, err := l.AppendStamped("", 0, mkJobs(0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestGroupFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos2, err := l2.AppendBatch(mkJobs(0, 1))
+	pos2, err := l2.AppendStamped("", 0, mkJobs(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func TestTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(mkJobs(0, 3)); err != nil {
+	if _, err := l.AppendStamped("", 0, mkJobs(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(mkJobs(10, 3)); err != nil {
+	if _, err := l.AppendStamped("", 0, mkJobs(10, 3)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -201,7 +201,7 @@ func TestTornTail(t *testing.T) {
 	if stats.TornBytes == 0 || stats.TornTenants != 1 {
 		t.Fatalf("stats = %+v, want the torn record counted in 1 tenant", stats)
 	}
-	if _, err := logs["t"].AppendBatch(mkJobs(10, 3)); err != nil {
+	if _, err := logs["t"].AppendStamped("", 0, mkJobs(10, 3)); err != nil {
 		t.Fatalf("append after torn-tail truncation: %v", err)
 	}
 }
@@ -215,8 +215,8 @@ func TestBitFlipTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.AppendBatch(mkJobs(0, 2))
-	l.AppendBatch(mkJobs(10, 2))
+	l.AppendStamped("", 0, mkJobs(0, 2))
+	l.AppendStamped("", 0, mkJobs(10, 2))
 	st.Close()
 
 	seg := filepath.Join(tenantDir(dir, "t"), segName(1))
@@ -250,7 +250,7 @@ func TestBitFlipMidLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := l.AppendBatch(mkJobs(i*10, 2)); err != nil {
+		if _, err := l.AppendStamped("", 0, mkJobs(i*10, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ func TestCheckpointTruncate(t *testing.T) {
 	var all []job.Job
 	for i := 0; i < 3; i++ {
 		js := mkJobs(i*10, 4)
-		l.AppendBatch(js)
+		l.AppendStamped("", 0, js)
 		all = append(all, js...)
 	}
 	meta := []byte(`{"id":"t","snap":"s1"}`)
@@ -313,7 +313,7 @@ func TestCheckpointTruncate(t *testing.T) {
 		t.Fatal("checkpoint did not delete the superseded segment")
 	}
 	post := mkJobs(100, 4)
-	l.AppendBatch(post)
+	l.AppendStamped("", 0, post)
 	all = append(all, post...)
 	st.Close()
 
@@ -338,7 +338,7 @@ func TestCheckpointTruncate(t *testing.T) {
 		t.Fatalf("checkpoint on resumed log: %v", err)
 	}
 	more := mkJobs(200, 2)
-	l2.AppendBatch(more)
+	l2.AppendStamped("", 0, more)
 	all = append(all, more...)
 	st2.Close()
 
@@ -359,7 +359,7 @@ func TestCheckpointMisaligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.AppendBatch(mkJobs(0, 3))
+	l.AppendStamped("", 0, mkJobs(0, 3))
 	if err := l.Checkpoint(nil, mkJobs(0, 2)); err == nil {
 		t.Fatal("checkpoint accepted misaligned history")
 	}
@@ -375,7 +375,7 @@ func TestCloseAndRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.AppendBatch(mkJobs(0, 2))
+	l.AppendStamped("", 0, mkJobs(0, 2))
 	if err := l.CloseAndRemove(); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestCloseAndRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.AppendBatch(mkJobs(0, 2))
+	l2.AppendStamped("", 0, mkJobs(0, 2))
 	l2.mu.Lock()
 	l2.scratch = appendFrame(l2.scratch[:0], recClose, nil)
 	l2.f.Write(l2.scratch)
@@ -422,13 +422,13 @@ func TestExportImport(t *testing.T) {
 	}
 	var all []job.Job
 	pre := mkJobs(0, 6)
-	l.AppendBatch(pre)
+	l.AppendStamped("", 0, pre)
 	all = append(all, pre...)
 	if err := l.Checkpoint([]byte(`{"id":"mig"}`), all); err != nil {
 		t.Fatal(err)
 	}
 	post := mkJobs(100, 3)
-	l.AppendBatch(post)
+	l.AppendStamped("", 0, post)
 	all = append(all, post...)
 
 	var buf bytes.Buffer
@@ -474,7 +474,7 @@ func TestSegmentRotation(t *testing.T) {
 	var all []job.Job
 	for i := 0; i < 20; i++ {
 		js := mkJobs(i*10, 3)
-		if _, err := l.AppendBatch(js); err != nil {
+		if _, err := l.AppendStamped("", 0, js); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, js...)
@@ -498,16 +498,16 @@ func TestAppendBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	js := mkJobs(0, 8)
-	if _, err := l.AppendBatch(js); err != nil {
+	if _, err := l.AppendStamped("", 0, js); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := l.AppendBatch(js); err != nil {
+		if _, err := l.AppendStamped("", 0, js); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 0.01 {
-		t.Errorf("AppendBatch allocates %.3f per batch in steady state, want 0", avg)
+		t.Errorf("AppendStamped allocates %.3f per batch in steady state, want 0", avg)
 	}
 }
 
@@ -528,7 +528,7 @@ func TestStampedRoundTrip(t *testing.T) {
 	if _, err := l.AppendStamped("p1", 1, mkJobs(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(mkJobs(3, 2)); err != nil {
+	if _, err := l.AppendStamped("", 0, mkJobs(3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.AppendStamped("p2", 7, mkJobs(5, 1)); err != nil {

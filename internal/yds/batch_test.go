@@ -163,7 +163,7 @@ func TestSessionWholeRunBytesBounded(t *testing.T) {
 		// Budget: the emitted history itself, one max-size chunk of
 		// slack, and modest per-arrival bookkeeping (live set, grid,
 		// scratch growth).
-		budget := len(res.Segments)*segBytes + segChunkMax*segBytes + len(in.Jobs)*64
+		budget := len(res.Segments)*segBytes + sched.SegmentChunkMax*segBytes + len(in.Jobs)*64
 		if grew > budget {
 			t.Errorf("%s: whole-run heap growth %d B for %d segments (budget %d B) — schedule history storage regressed",
 				name, grew, len(res.Segments), budget)

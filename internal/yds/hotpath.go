@@ -22,59 +22,6 @@ import (
 	"repro/internal/sched"
 )
 
-// segList is the append-only store for a session's emitted schedule
-// history. A plain []sched.Segment grown by append pays Go's ~1.25×
-// growth factor as a geometric series: the cumulative bytes allocated
-// over a long run are ~5× the final schedule size, plus a full copy of
-// the history at every growth step — that series was the whole-run
-// heap growth BENCH_pr4.json showed for the AVR and qOA sessions.
-// segList instead fills fixed chunks that are never copied or
-// reallocated: cumulative allocation equals the final size (to within
-// one chunk), and appending is O(1) with no large copies. Close
-// materialises the chunks into the one contiguous slice the Schedule
-// needs.
-type segList struct {
-	cur  []sched.Segment   // chunk being filled
-	full [][]sched.Segment // filled chunks, in order
-	n    int               // total segments across cur and full
-}
-
-const (
-	segChunkMin = 1 << 10 // first chunk: keep small sessions cheap
-	segChunkMax = 1 << 18 // later chunks: amortize chunk bookkeeping
-)
-
-// add appends one segment.
-//
-//schedlint:hotpath
-func (l *segList) add(s sched.Segment) {
-	if len(l.cur) == cap(l.cur) {
-		if l.cur != nil {
-			l.full = append(l.full, l.cur)
-		}
-		size := segChunkMin
-		for size < l.n && size < segChunkMax {
-			size <<= 1
-		}
-		l.cur = make([]sched.Segment, 0, size) //schedlint:allowalloc amortized chunk growth, doubling to segChunkMax
-	}
-	l.cur = append(l.cur, s)
-	l.n++
-}
-
-// len returns the number of stored segments.
-func (l *segList) len() int { return l.n }
-
-// materialize concatenates the chunks into one contiguous slice — the
-// Close-time hand-off to sched.Schedule.
-func (l *segList) materialize() []sched.Segment {
-	out := make([]sched.Segment, 0, l.n)
-	for _, c := range l.full {
-		out = append(out, c...)
-	}
-	return append(out, l.cur...)
-}
-
 // liveJob is one unfinished job in the dense live state.
 type liveJob struct {
 	id       int
@@ -263,7 +210,7 @@ func (st *stair) build(t float64, jobs []liveJob) error {
 // ranges instead of a rem map, same floats.
 //
 //schedlint:hotpath
-func execPlan(blocks []planBlock, horizon float64, jobs []liveJob, segs *segList) {
+func execPlan(blocks []planBlock, horizon float64, jobs []liveJob, segs *sched.SegmentList) {
 	const eps = 1e-12
 	for _, b := range blocks {
 		if b.start >= horizon {
@@ -285,11 +232,11 @@ func execPlan(blocks []planBlock, horizon float64, jobs []liveJob, segs *segList
 			case end > t && end < horizon:
 				// Ran to completion by construction (the horizon did
 				// not cut it short): retire exactly — see ExecutePlan.
-				segs.add(sched.Segment{Proc: 0, Job: p.id, T0: t, T1: end, Speed: b.speed})
+				segs.Add(sched.Segment{Proc: 0, Job: p.id, T0: t, T1: end, Speed: b.speed})
 				p.rem = 0
 				t = end
 			case end > t:
-				segs.add(sched.Segment{Proc: 0, Job: p.id, T0: t, T1: end, Speed: b.speed})
+				segs.Add(sched.Segment{Proc: 0, Job: p.id, T0: t, T1: end, Speed: b.speed})
 				p.rem -= (end - t) * b.speed
 				// (r/s)·s rarely equals r in floats; clamp the residue
 				// so finished jobs do not haunt later plans.
@@ -336,7 +283,7 @@ type gridSim struct {
 // same deadline-pressure guard.
 //
 //schedlint:hotpath
-func (g *gridSim) span(t0, t1 float64, ls *liveSet, pol simPolicy, segs *segList) error {
+func (g *gridSim) span(t0, t1 float64, ls *liveSet, pol simPolicy, segs *sched.SegmentList) error {
 	const eps = 1e-12
 	dt := (t1 - t0) / stepsPerInterval
 	for step := 0; step < stepsPerInterval; step++ {
@@ -393,7 +340,7 @@ func (g *gridSim) span(t0, t1 float64, ls *liveSet, pol simPolicy, segs *segList
 				}
 				continue
 			}
-			segs.add(sched.Segment{Proc: 0, Job: p.id, T0: t, T1: end, Speed: sp})
+			segs.Add(sched.Segment{Proc: 0, Job: p.id, T0: t, T1: end, Speed: sp})
 			if end < u1 {
 				// Ran to completion at speed sp before the grid point:
 				// retire exactly (see execPlan on residue rounding).

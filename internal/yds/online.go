@@ -366,7 +366,7 @@ func simulate(in *job.Instance, pol simPolicy) (*sched.Schedule, error) {
 
 	var ls liveSet
 	var sim gridSim
-	var segs segList
+	var segs sched.SegmentList
 	next := 0
 	for k := 0; k+1 < len(bounds); k++ {
 		t0, t1 := bounds[k], bounds[k+1]
@@ -383,5 +383,5 @@ func simulate(in *job.Instance, pol simPolicy) (*sched.Schedule, error) {
 	if err := sim.checkFinished(&ls); err != nil {
 		return nil, err
 	}
-	return &sched.Schedule{M: 1, Segments: segs.materialize()}, nil
+	return &sched.Schedule{M: 1, Segments: segs.Materialize()}, nil
 }

@@ -23,7 +23,7 @@
 // is maintained incrementally. Per-arrival cost is therefore
 // amortized O(live backlog), independent of how many jobs the session
 // has absorbed, and steady-state arrivals allocate nothing beyond the
-// amortized growth of the output segment list (see hotpath.go).
+// amortized growth of the output segment store (sched.SegmentList).
 
 package yds
 
@@ -89,7 +89,7 @@ type OASession struct {
 	fr   frontier
 	live liveSet
 	st   stair // current plan in st.blocks
-	segs segList
+	segs sched.SegmentList
 }
 
 // NewOASession returns an empty OA session.
@@ -180,7 +180,7 @@ func (s *OASession) Close() (*sched.Schedule, error) {
 	}
 	s.fr.closed = true
 	execPlan(s.st.blocks, math.Inf(1), s.live.jobs, &s.segs)
-	return &sched.Schedule{M: 1, Segments: s.segs.materialize()}, nil
+	return &sched.Schedule{M: 1, Segments: s.segs.Materialize()}, nil
 }
 
 // State reports the live backlog and current plan speed.
@@ -215,7 +215,7 @@ type AVRSession struct {
 	grid   boundGrid
 	bounds []float64 // emit scratch
 	active []int     // emit scratch: indices into known
-	segs   segList
+	segs   sched.SegmentList
 }
 
 // NewAVRSession returns an empty AVR session.
@@ -248,7 +248,7 @@ func (s *AVRSession) emit(T float64) {
 		for _, i := range s.active {
 			j := s.known[i]
 			share := (t1 - t0) * j.Density() / total
-			s.segs.add(sched.Segment{
+			s.segs.Add(sched.Segment{
 				Proc: 0, Job: j.ID, T0: t, T1: t + share, Speed: total,
 			})
 			t += share
@@ -318,7 +318,7 @@ func (s *AVRSession) Close() (*sched.Schedule, error) {
 			s.fr.t = T
 		}
 	}
-	return &sched.Schedule{M: 1, Segments: s.segs.materialize()}, nil
+	return &sched.Schedule{M: 1, Segments: s.segs.Materialize()}, nil
 }
 
 // State reports the live density backlog: every known job whose window
@@ -352,7 +352,7 @@ type QOASession struct {
 	sim    gridSim
 	grid   boundGrid
 	bounds []float64 // advance scratch
-	segs   segList
+	segs   sched.SegmentList
 }
 
 // NewQOASession returns an empty qOA session for the power model's
@@ -429,7 +429,7 @@ func (s *QOASession) Close() (*sched.Schedule, error) {
 	if err := s.sim.checkFinished(&s.live); err != nil {
 		return nil, err
 	}
-	return &sched.Schedule{M: 1, Segments: s.segs.materialize()}, nil
+	return &sched.Schedule{M: 1, Segments: s.segs.Materialize()}, nil
 }
 
 // State reports the live backlog and the qOA speed at the frontier.
