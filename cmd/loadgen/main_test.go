@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/serve"
 )
 
@@ -43,13 +44,18 @@ func TestRunFlagAndKindErrors(t *testing.T) {
 }
 
 func TestRunSurfacesServerRefusals(t *testing.T) {
-	// A host with a one-session limit: two of three tenants are
-	// refused admission; the error must carry the server's message.
-	srv := httptest.NewServer(serve.NewHandler(serve.NewHost(serve.Config{MaxSessions: 1})))
+	// A host with a one-session limit whose slot is already taken:
+	// every tenant is refused admission, however the tenants
+	// interleave; the error must carry the server's message.
+	h := serve.NewHost(serve.Config{MaxSessions: 1})
+	if _, err := h.Create("occupant", engine.Spec{Name: "oa", M: 1, Alpha: 2}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(serve.NewHandler(h))
 	defer srv.Close()
 	var out, errs bytes.Buffer
-	// -retries 0: with retries on, the refusal is transient — the
-	// retried create wins the slot a finished tenant freed.
+	// -retries 0: a 429 is otherwise retried with back-off until the
+	// retry budget runs out.
 	err := run(context.Background(), []string{
 		"-url", srv.URL, "-tenants", "3", "-n", "4", "-scale", "0", "-retries", "0",
 	}, &out, &errs)

@@ -282,7 +282,9 @@ func handleProxyCreate(c *Controller, w http.ResponseWriter, r *http.Request) {
 		writeNodeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	status, respBody, err := c.forward(r.Context(), http.MethodPost, node.Addr+"/v1/sessions", body)
+	ctx, cancel := c.callCtx(r.Context())
+	defer cancel()
+	resp, err := c.send(ctx, http.MethodPost, node.Addr+"/v1/sessions", body)
 	if err != nil {
 		if fresh {
 			c.dropPlacement(id)
@@ -290,14 +292,18 @@ func handleProxyCreate(c *Controller, w http.ResponseWriter, r *http.Request) {
 		writeNodeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	if status != http.StatusCreated && fresh {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated && fresh {
 		c.dropPlacement(id)
 	}
-	relayJSON(w, status, respBody)
+	relay(w, resp)
 }
 
 // handleProxyClose forwards the close and un-places the tenant when
 // the node confirms, relaying the final verified Result either way.
+// The node has closed the session when it answers 200, 404 (closed
+// before) or 422 (closed, but the Result holds a float JSON cannot
+// carry), so each of those drops the placement.
 func handleProxyClose(c *Controller, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	n, err := c.Lookup(id)
@@ -305,51 +311,53 @@ func handleProxyClose(c *Controller, w http.ResponseWriter, r *http.Request) {
 		writeClusterErr(w, err)
 		return
 	}
-	status, respBody, err := c.forward(r.Context(), http.MethodDelete, n.Addr+"/v1/sessions/"+id, nil)
+	ctx, cancel := c.callCtx(r.Context())
+	defer cancel()
+	resp, err := c.send(ctx, http.MethodDelete, n.Addr+"/v1/sessions/"+id, nil)
 	if err != nil {
 		writeNodeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	if status == http.StatusOK || status == http.StatusNotFound {
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK, http.StatusNotFound, http.StatusUnprocessableEntity:
 		c.dropPlacement(id)
 	}
-	relayJSON(w, status, respBody)
+	relay(w, resp)
 }
 
-// forward issues one proxied call and returns the node's status and
-// body. Bounded by CallTimeout (a hung worker must not wedge the
-// proxy handler) and fenced like every controller-originated call.
-func (c *Controller) forward(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
-	ctx, cancel := c.callCtx(ctx)
-	defer cancel()
+// send issues one proxied call under ctx, fenced like every
+// controller-originated call, and returns the node's response for the
+// caller to read and close. Callers bound ctx by CallTimeout (a hung
+// worker must not wedge the proxy handler), and the bound covers the
+// relay of the body too.
+func (c *Controller) send(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	c.fenceHeaders(req)
-	resp, err := c.opt.Client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, out, nil
+	return c.opt.Client.Do(req)
 }
 
-func relayJSON(w http.ResponseWriter, status int, body []byte) {
+// relay streams a node's answer to the client under the node's
+// status, so the controller never holds a body (a 10^5-job close
+// Result is 25 MB). The status is out before the body is copied; if
+// the copy fails, the connection is aborted so the client reads an
+// unexpected EOF rather than a clean end to a truncated body.
+func relay(w http.ResponseWriter, resp *http.Response) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	w.WriteHeader(resp.StatusCode)
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // place is Place plus a freshness bit so the proxy can roll back a

@@ -27,6 +27,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/chen"
@@ -60,6 +61,12 @@ type Scheduler struct {
 	part      *interval.Partition
 	jobs      []job.Job
 	decisions map[int]Decision
+	// cuts stands in for each arrival whose water level was not found:
+	// the job itself leaves no trace, but the partition keeps the cuts
+	// its window made, so the certificate sums over those intervals too.
+	// A stand-in has the job's window, infinite work and no value, so
+	// it adds nothing to g(λ̃) but its boundaries.
+	cuts []job.Job
 }
 
 // Option customises a Scheduler.
@@ -134,7 +141,6 @@ func (s *Scheduler) Arrive(j job.Job) (Decision, error) {
 	if err := s.part.Observe(j.Release, j.Deadline); err != nil {
 		return Decision{}, err
 	}
-	s.jobs = append(s.jobs, j)
 
 	ks := s.part.Covering(j.Release, j.Deadline)
 	others := make([][]chen.Item, len(ks))
@@ -164,6 +170,7 @@ func (s *Scheduler) Arrive(j job.Job) (Decision, error) {
 		dec.Accepted = false
 		dec.Lambda = j.Value
 		dec.Speed = sRej
+		s.jobs = append(s.jobs, j)
 		s.decisions[j.ID] = dec
 		return dec, nil
 	}
@@ -173,12 +180,14 @@ func (s *Scheduler) Arrive(j job.Job) (Decision, error) {
 	// density rather than bisecting [0, sRej] directly.
 	sp, err := numeric.SolveIncreasing(capacity, j.Density(), j.Work, numeric.DefaultTol)
 	if err != nil {
+		s.cuts = append(s.cuts, job.Job{ID: j.ID, Release: j.Release, Deadline: j.Deadline, Work: math.Inf(1)})
 		return Decision{}, fmt.Errorf("core: job %d: water level not found: %w", j.ID, err)
 	}
 	s.distribute(j, ks, others, lens, sp)
 	dec.Accepted = true
 	dec.Speed = sp
 	dec.Lambda = s.delta * j.Work * s.sys.Power.Marginal(sp)
+	s.jobs = append(s.jobs, j)
 	s.decisions[j.ID] = dec
 	return dec, nil
 }
@@ -319,7 +328,7 @@ func (s *Scheduler) Cost() float64 { return s.Energy() + s.LostValue() }
 // schedule for those jobs, so Cost()/DualValue() is a certified upper
 // bound on PD's competitive ratio on this instance.
 func (s *Scheduler) DualValue() float64 {
-	return dual.Value(s.sys.Power, s.sys.M, s.jobs, s.Lambdas())
+	return dual.Value(s.sys.Power, s.sys.M, append(slices.Clip(s.jobs), s.cuts...), s.Lambdas())
 }
 
 // Result bundles a complete offline-style run of PD over an instance.

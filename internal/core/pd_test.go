@@ -514,7 +514,10 @@ func TestAcceptedJobsComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := res.Schedule.ProcessedWork()
+		done := make(map[int]float64)
+		for _, seg := range res.Schedule.Segments {
+			done[seg.Job] += seg.Work()
+		}
 		for i, d := range res.Decisions {
 			j := in.Jobs[i]
 			if d.Accepted {

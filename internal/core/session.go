@@ -140,9 +140,8 @@ func (s *Session) Arrive(j job.Job) (Decision, error) {
 	}
 	sp, err := numeric.SolveIncreasing(capacity, j.Density(), j.Work, numeric.DefaultTol)
 	if err != nil {
-		// The reference keeps such a job without a decision: its window
-		// stays in the partition and its ID among the rejected.
-		s.rejected = append(s.rejected, j.ID)
+		// As in the reference, the job leaves no trace but the cuts
+		// its window made in the partition.
 		return Decision{}, fmt.Errorf("core: job %d: water level not found: %w", j.ID, err) //schedlint:allowalloc error path, arrival failed
 	}
 	s.distribute(j, lo, views, sp)

@@ -241,3 +241,47 @@ func FuzzPDSessionMatchesScheduler(f *testing.F) {
 		matchScheduler(t, fuzzInstance(data), 5)
 	})
 }
+
+// TestFailedArrivalLeavesNoTrace: an arrival whose water level is not
+// found (job 1: its rejection speed overflows to +Inf, and doubling
+// from its density never clears job 0's load) leaves no decision, no
+// rejection and no job behind, in both twins, and the run goes on.
+// Only the cuts its window made stay. In "split", the cut at job 1's
+// deadline splits an interval the certificate sums over, and the
+// reference's DualValue matches Session's bits only because it sums
+// over that cut too.
+func TestFailedArrivalLeavesNoTrace(t *testing.T) {
+	inf := math.Inf(1)
+	for name, jobs := range map[string][]job.Job{
+		"refused": {
+			{ID: 0, Release: 0, Deadline: 1, Work: 1e10, Value: inf},
+			{ID: 1, Release: 0, Deadline: 1, Work: 1e-300, Value: 1},
+			{ID: 2, Release: 0.5, Deadline: 2, Work: 1, Value: 10},
+		},
+		"split": {
+			{ID: 0, Release: 0, Deadline: 1.2015302552943223, Work: 1e10, Value: inf},
+			{ID: 1, Release: 0.3001806927150068, Deadline: 1.0978662433227877, Work: 1e-300, Value: 1},
+			{ID: 2, Release: 1.4531192399487176, Deadline: 2.896172340870393, Work: 0.7238293851194695, Value: 9.631394012024705},
+			{ID: 3, Release: 1.5437799524613578, Deadline: 3.704113421825201, Work: 1, Value: inf},
+		},
+	} {
+		in := &job.Instance{M: 1, Alpha: 1.05, Jobs: jobs}
+		t.Run(name, func(t *testing.T) {
+			matchScheduler(t, in, 1)
+			pm := power.Model{Alpha: in.Alpha}
+			ref, ses := New(1, pm), NewSession(1, pm)
+			for _, j := range in.Jobs {
+				_, rerr := ref.Arrive(j)
+				_, serr := ses.Arrive(j)
+				if (rerr != nil) != (j.ID == 1) || (serr != nil) != (j.ID == 1) {
+					t.Fatalf("job %d: reference %v, session %v; want only job 1 refused", j.ID, rerr, serr)
+				}
+			}
+			for name, s := range map[string][]int{"reference": ref.Schedule().Rejected, "session": ses.Schedule().Rejected} {
+				if len(s) != 0 {
+					t.Errorf("%s rejects %v, want none", name, s)
+				}
+			}
+		})
+	}
+}

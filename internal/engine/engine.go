@@ -131,25 +131,34 @@ func Replay(in *job.Instance, p Policy) (*Result, error) {
 			res.MaxArrive = d
 		}
 	}
+	if err := finish(p, inst, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// finish is the close both Replay and Live run: the policy plans
+// (PlanTime), its schedule is verified against the instance it was
+// shown, and res gets the schedule and its cost (Eq. 1).
+func finish(p Policy, inst *job.Instance, res *Result) error {
 	start := time.Now()
 	s, err := p.Close()
 	res.PlanTime = time.Since(start)
 	if err != nil {
-		return nil, fmt.Errorf("engine: %s close: %w", p.Name(), err)
+		return fmt.Errorf("engine: %s close: %w", p.Name(), err)
 	}
 	if b, ok := p.(Buffered); ok && b.Buffered() {
 		res.MaxArrive, res.TotalArrive = 0, 0
 	}
 	if err := sched.Verify(inst, s); err != nil {
-		return nil, fmt.Errorf("engine: %s produced an infeasible schedule: %w", p.Name(), err)
+		return fmt.Errorf("engine: %s produced an infeasible schedule: %w", p.Name(), err)
 	}
-	pm := power.Model{Alpha: inst.Alpha}
 	res.Schedule = s
-	res.Energy = s.Energy(pm)
+	res.Energy = s.Energy(power.Model{Alpha: inst.Alpha})
 	res.LostValue = s.LostValue(inst)
 	res.Cost = res.Energy + res.LostValue
 	res.Rejected = len(s.Rejected)
-	return res, nil
+	return nil
 }
 
 // --- Built-in policy adapters ---

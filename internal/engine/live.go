@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"repro/internal/job"
-	"repro/internal/power"
-	"repro/internal/sched"
 )
 
 // Live drives one policy through a stream of arrivals. It accumulates
@@ -169,32 +167,17 @@ func (l *Live) Snapshot() Snapshot {
 
 // Close finalises the run: the policy plans (PlanTime), the schedule
 // is verified against the accumulated instance, and the uniform
-// Result is returned — the same post-processing Replay performs.
+// Result is returned — through the same finish Replay calls.
 // Close is one-shot; a second call errors.
 func (l *Live) Close() (*Result, error) {
 	if l.closed {
 		return nil, fmt.Errorf("engine: live run already closed")
 	}
 	l.closed = true
-	start := time.Now()
-	s, err := l.p.Close()
-	l.res.PlanTime = time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %s close: %w", l.p.Name(), err)
-	}
-	if b, ok := l.p.(Buffered); ok && b.Buffered() {
-		l.res.MaxArrive, l.res.TotalArrive = 0, 0
-	}
 	inst := &job.Instance{M: l.m, Alpha: l.alpha, Jobs: l.jobs}
-	if err := sched.Verify(inst, s); err != nil {
-		return nil, fmt.Errorf("engine: %s produced an infeasible schedule: %w", l.p.Name(), err)
+	if err := finish(l.p, inst, &l.res); err != nil {
+		return nil, err
 	}
-	pm := power.Model{Alpha: inst.Alpha}
-	l.res.Schedule = s
-	l.res.Energy = s.Energy(pm)
-	l.res.LostValue = s.LostValue(inst)
-	l.res.Cost = l.res.Energy + l.res.LostValue
-	l.res.Rejected = len(s.Rejected)
 	res := l.res
 	return &res, nil
 }

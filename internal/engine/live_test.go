@@ -412,3 +412,35 @@ func TestApplyBatchStopsAtFirstError(t *testing.T) {
 		t.Fatal("ApplyBatch after Close must fail")
 	}
 }
+
+// TestLivePDClosesAfterRefusedArrival: PD refuses an arrival whose
+// water level it cannot find (job 1 below), and the run stays usable
+// for more arrivals and Close, as ApplyBatch documents: the refused job
+// is in neither the instance nor the schedule's rejected list, so the
+// schedule verifies.
+func TestLivePDClosesAfterRefusedArrival(t *testing.T) {
+	l, err := NewLive(Spec{Name: "pd", M: 1, Alpha: 1.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		j       job.Job
+		applied int
+	}{
+		{job.Job{ID: 0, Release: 0, Deadline: 1, Work: 1e10, Value: inf}, 1},
+		{job.Job{ID: 1, Release: 0, Deadline: 1, Work: 1e-300, Value: 1}, 0},
+		{job.Job{ID: 2, Release: 0.5, Deadline: 2, Work: 1, Value: 10}, 1},
+	} {
+		if n, err := l.ApplyBatch([]job.Job{c.j}); n != c.applied || (err == nil) != (n == 1) {
+			t.Fatalf("job %d: applied %d, error %v", c.j.ID, n, err)
+		}
+	}
+	res, err := l.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if len(res.Schedule.Rejected) != 0 || l.Arrivals() != 2 {
+		t.Fatalf("rejected %v after %d arrivals", res.Schedule.Rejected, l.Arrivals())
+	}
+}

@@ -870,6 +870,10 @@ func AppendString(b []byte, s string) []byte {
 				b = append(b, '\\', 'r')
 			case c == '\t':
 				b = append(b, '\\', 't')
+			case c == '\b':
+				b = append(b, '\\', 'b')
+			case c == '\f':
+				b = append(b, '\\', 'f')
 			case c < 0x20, c == '<', c == '>', c == '&':
 				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
 			default:

@@ -12,7 +12,7 @@ import (
 func TestAppendString(t *testing.T) {
 	cases := []string{
 		"", "plain", "t-42", `quote"back\slash`, "tab\tnl\ncr\r",
-		"ctl\x01\x1f", "<html>&", "unicode µ≥", "  ",
+		"ctl\x01\x1f", "backspace\b formfeed\f", "<html>&", "unicode µ≥", "  ",
 		"bad\xffutf8", "emoji 🚀", strings.Repeat("x", 300),
 	}
 	for _, s := range cases {

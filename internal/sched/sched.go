@@ -14,6 +14,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/job"
@@ -56,23 +57,19 @@ func (s *Schedule) Energy(pm power.Model) float64 {
 	return acc.Value()
 }
 
-// ProcessedWork returns, per job ID, the total work the schedule
-// processes for it.
-func (s *Schedule) ProcessedWork() map[int]float64 {
-	done := make(map[int]float64)
-	for _, seg := range s.Segments {
-		done[seg.Job] += seg.Work()
-	}
-	return done
-}
-
 // LostValue returns the summed value of jobs in the instance that the
 // schedule does not finish (processed work < w_j up to tolerance).
 func (s *Schedule) LostValue(in *job.Instance) float64 {
-	done := s.ProcessedWork()
+	idx := indexJobs(in.Jobs)
+	done := make([]float64, len(in.Jobs))
+	for i := range s.Segments {
+		if p, ok := idx.pos(s.Segments[i].Job); ok {
+			done[p] += s.Segments[i].Work()
+		}
+	}
 	var lost float64
-	for _, j := range in.Jobs {
-		if done[j.ID] < j.Work*(1-VerifyTol) {
+	for i, j := range in.Jobs {
+		if done[idx.owner(in.Jobs, i)] < j.Work*(1-VerifyTol) {
 			lost += j.Value
 		}
 	}
@@ -122,25 +119,35 @@ func (s *Schedule) Breakpoints() []float64 {
 
 // Verify checks the schedule against the instance and returns the first
 // violated model constraint, or nil if the schedule is feasible.
+//
+// It makes one pass over the segments, addressing jobs by their position
+// in the instance, then checks overlaps processor by processor and job
+// by job over segment indices grouped by a counting sort. A group's
+// segments are ordered by start time, ties by end time and then by their
+// place in the schedule, so the verdict does not depend on how the
+// schedule lists segments that start together. Nothing is formatted
+// unless a constraint fails.
 func Verify(in *job.Instance, s *Schedule) error {
 	if s.M < 1 || s.M > in.M {
 		return fmt.Errorf("sched: schedule uses %d processors, instance allows %d", s.M, in.M)
 	}
-	jobs := make(map[int]job.Job, len(in.Jobs))
-	for _, j := range in.Jobs {
-		jobs[j.ID] = j
-	}
-	rejected := make(map[int]bool, len(s.Rejected))
+	idx := indexJobs(in.Jobs)
+	rejected := make([]bool, len(in.Jobs))
 	for _, id := range s.Rejected {
-		if _, ok := jobs[id]; !ok {
+		p, ok := idx.pos(id)
+		if !ok {
 			return fmt.Errorf("sched: rejected job %d not in instance", id)
 		}
-		rejected[id] = true
+		rejected[p] = true
 	}
 
-	byProc := make(map[int][]Segment)
-	byJob := make(map[int][]Segment)
-	for i, seg := range s.Segments {
+	segs := s.Segments
+	jobOf := make([]int32, len(segs)) // position of each segment's job
+	done := make([]float64, len(in.Jobs))
+	perProc := make([]int32, s.M+1)
+	perJob := make([]int32, len(in.Jobs)+1)
+	for i := range segs {
+		seg := &segs[i]
 		if seg.T1 <= seg.T0 {
 			return fmt.Errorf("sched: segment %d has empty or negative duration [%v,%v)", i, seg.T0, seg.T1)
 		}
@@ -150,62 +157,172 @@ func Verify(in *job.Instance, s *Schedule) error {
 		if seg.Proc < 0 || seg.Proc >= s.M {
 			return fmt.Errorf("sched: segment %d on processor %d outside [0,%d)", i, seg.Proc, s.M)
 		}
-		j, ok := jobs[seg.Job]
+		p, ok := idx.pos(seg.Job)
 		if !ok {
 			return fmt.Errorf("sched: segment %d references unknown job %d", i, seg.Job)
 		}
+		j := &in.Jobs[p]
 		slack := VerifyTol * math.Max(1, j.Span())
 		if seg.T0 < j.Release-slack || seg.T1 > j.Deadline+slack {
 			return fmt.Errorf("sched: segment %d runs job %d outside its window [%v,%v): [%v,%v)",
 				i, seg.Job, j.Release, j.Deadline, seg.T0, seg.T1)
 		}
-		byProc[seg.Proc] = append(byProc[seg.Proc], seg)
-		byJob[seg.Job] = append(byJob[seg.Job], seg)
+		// Every comparison above is false for a NaN time.
+		if !finite(seg.T0) || !finite(seg.T1) {
+			return fmt.Errorf("sched: segment %d has non-finite time [%v,%v)", i, seg.T0, seg.T1)
+		}
+		jobOf[i] = p
+		done[p] += seg.Work()
+		perProc[seg.Proc+1]++
+		perJob[p+1]++
 	}
 
-	for p, segs := range byProc {
-		if err := noOverlap(segs, fmt.Sprintf("processor %d", p)); err != nil {
-			return err
+	order := make([]int32, len(segs))
+	group(order, perProc, func(i int) int32 { return int32(segs[i].Proc) })
+	for p := range s.M {
+		if a, b := overlap(segs, order[perProc[p]:perProc[p+1]]); a != nil {
+			return overlapError(fmt.Sprintf("processor %d", p), a, b)
 		}
 	}
-	for id, segs := range byJob {
-		if err := noOverlap(segs, fmt.Sprintf("job %d (parallel execution)", id)); err != nil {
-			return err
+	group(order, perJob, func(i int) int32 { return jobOf[i] })
+	for p := range in.Jobs {
+		if run := order[perJob[p]:perJob[p+1]]; len(run) > 1 {
+			if a, b := overlap(segs, run); a != nil {
+				return overlapError(fmt.Sprintf("job %d (parallel execution)", in.Jobs[p].ID), a, b)
+			}
 		}
 	}
 
-	done := s.ProcessedWork()
-	for _, j := range in.Jobs {
-		if rejected[j.ID] {
+	// Written so that NaN processed work fails them.
+	for i, j := range in.Jobs {
+		p := idx.owner(in.Jobs, i)
+		if rejected[p] {
 			// PD resets a rejected job's assignment to zero; any
 			// residual execution indicates a bookkeeping bug.
-			if done[j.ID] > VerifyTol*j.Work {
-				return fmt.Errorf("sched: rejected job %d has %v work processed", j.ID, done[j.ID])
+			if !(done[p] <= VerifyTol*j.Work) {
+				return fmt.Errorf("sched: rejected job %d has %v work processed", j.ID, done[p])
 			}
 			continue
 		}
-		if done[j.ID] < j.Work*(1-VerifyTol) {
+		if !(done[p] >= j.Work*(1-VerifyTol)) {
 			return fmt.Errorf("sched: job %d not rejected but only %v of %v work processed",
-				j.ID, done[j.ID], j.Work)
+				j.ID, done[p], j.Work)
 		}
 	}
 	return nil
 }
 
-// noOverlap checks that the segments, viewed as half-open time
-// intervals, are pairwise disjoint (up to tolerance relative to their
-// lengths).
-func noOverlap(segs []Segment, what string) error {
-	sorted := make([]Segment, len(segs))
-	copy(sorted, segs)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].T0 < sorted[b].T0 })
-	for i := 1; i < len(sorted); i++ {
-		prev, cur := sorted[i-1], sorted[i]
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// jobIndex maps job IDs to positions in an instance's job list; a
+// repeated ID maps to its last listing. Traces number their jobs
+// densely (0..n-1, or a shifted range), and then the index is a slice
+// by ID, a fraction of a map lookup's cost; IDs spread over more than
+// twice as many values as there are jobs fall back to a map.
+type jobIndex struct {
+	lo       int
+	dense    []int32 // position+1 by ID-lo; 0 where no job has the ID
+	sparse   map[int]int32
+	distinct int // number of distinct IDs
+}
+
+func indexJobs(jobs []job.Job) *jobIndex {
+	x := &jobIndex{}
+	if len(jobs) == 0 {
+		return x
+	}
+	lo, hi := jobs[0].ID, jobs[0].ID
+	for _, j := range jobs {
+		lo, hi = min(lo, j.ID), max(hi, j.ID)
+	}
+	if span := uint(hi) - uint(lo); span < 2*uint(len(jobs)) {
+		x.lo, x.dense = lo, make([]int32, span+1)
+		for i, j := range jobs {
+			if x.dense[j.ID-lo] == 0 {
+				x.distinct++
+			}
+			x.dense[j.ID-lo] = int32(i) + 1
+		}
+		return x
+	}
+	x.sparse = make(map[int]int32, len(jobs))
+	for i, j := range jobs {
+		x.sparse[j.ID] = int32(i)
+	}
+	x.distinct = len(x.sparse)
+	return x
+}
+
+// pos returns the position of the job with the given ID.
+func (x *jobIndex) pos(id int) (int32, bool) {
+	if x.sparse != nil {
+		p, ok := x.sparse[id]
+		return p, ok
+	}
+	if k := uint(id) - uint(x.lo); k < uint(len(x.dense)) && x.dense[k] > 0 {
+		return x.dense[k] - 1, true
+	}
+	return 0, false
+}
+
+// owner returns the position that accounts for jobs[i]: its own,
+// unless its ID is listed again later, where the last listing holds
+// the ID's work and rejection, as a map keyed by job ID would.
+func (x *jobIndex) owner(jobs []job.Job, i int) int32 {
+	if x.distinct == len(jobs) {
+		return int32(i)
+	}
+	p, _ := x.pos(jobs[i].ID)
+	return p
+}
+
+// group counting-sorts segment indices by key. On entry start[k+1]
+// holds the number of segments with key k; on return start[k] is where
+// key k's run begins in order, and each run lists its segments in
+// schedule order.
+func group(order, start []int32, key func(i int) int32) {
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	next := slices.Clone(start[:len(start)-1])
+	for i := range order {
+		k := key(i)
+		order[next[k]] = int32(i)
+		next[k]++
+	}
+}
+
+// overlap sorts a run of segment indices by start time, ties by end
+// time and then by index, and returns the first adjacent pair that
+// overlaps by more than the tolerance relative to the earlier
+// segment's length, or nil.
+func overlap(segs []Segment, run []int32) (prev, cur *Segment) {
+	byStart := func(a, b int32) int {
+		sa, sb := &segs[a], &segs[b]
+		switch {
+		case sa.T0 < sb.T0:
+			return -1
+		case sa.T0 > sb.T0:
+			return 1
+		case sa.T1 < sb.T1:
+			return -1
+		case sa.T1 > sb.T1:
+			return 1
+		}
+		return int(a - b)
+	}
+	slices.SortFunc(run, byStart)
+	for i := 1; i < len(run); i++ {
+		prev, cur := &segs[run[i-1]], &segs[run[i]]
 		slack := VerifyTol * math.Max(1, prev.T1-prev.T0)
 		if cur.T0 < prev.T1-slack {
-			return fmt.Errorf("sched: overlapping segments on %s: [%v,%v) and [%v,%v)",
-				what, prev.T0, prev.T1, cur.T0, cur.T1)
+			return prev, cur
 		}
 	}
-	return nil
+	return nil, nil
+}
+
+func overlapError(what string, prev, cur *Segment) error {
+	return fmt.Errorf("sched: overlapping segments on %s: [%v,%v) and [%v,%v)",
+		what, prev.T0, prev.T1, cur.T0, cur.T1)
 }

@@ -130,9 +130,11 @@ func TestVerifyRejectsBadMetadata(t *testing.T) {
 	}
 }
 
+// TestProcessedWork pins the work sum the reference verifier checks
+// completion against.
 func TestProcessedWork(t *testing.T) {
 	s := feasible()
-	done := s.ProcessedWork()
+	done := processedWork(s)
 	if done[0] != 2 || done[1] != 1 {
 		t.Fatalf("processed %v", done)
 	}

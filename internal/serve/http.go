@@ -23,8 +23,10 @@
 // admits, so a slow policy stalls the read and TCP flow control
 // carries the backpressure to the client; a stamped body is decoded
 // whole first, because it is the unit of exactly-once delivery.
-// Snapshot responses share the pooled hand-rolled encoding; cold
-// endpoints (create, close, registry) keep encoding/json.
+// Snapshot responses share the pooled hand-rolled encoding. Close
+// streams its Result from engine.WriteCloseJSON in chunks of at most
+// 64 KiB from a pooled buffer, so a 10^5-job Result is never held
+// whole; the cold endpoints (create, registry) keep encoding/json.
 
 package serve
 
@@ -85,6 +87,8 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrTooLarge):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, engine.ErrUnencodable):
+		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest
 	}
@@ -355,12 +359,6 @@ func handleSnapshot(h *Host, w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, http.StatusOK, bp)
 }
 
-// closeResponse carries a closed session's final verified result.
-type closeResponse struct {
-	ID     string         `json:"id"`
-	Result *engine.Result `json:"result"`
-}
-
 func handleClose(h *Host, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, err := h.Close(id)
@@ -370,14 +368,25 @@ func handleClose(h *Host, w http.ResponseWriter, r *http.Request) {
 		// closed-result cache instead of 404ing the retry.
 		if errors.Is(err, ErrNotFound) {
 			if cached, ok := h.ClosedResult(id); ok {
-				writeJSON(w, http.StatusOK, closeResponse{ID: id, Result: cached})
+				writeResult(w, id, cached)
 				return
 			}
 		}
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, closeResponse{ID: id, Result: res})
+	writeResult(w, id, res)
+}
+
+// writeResult streams a close response, {"id":…,"result":…}. The
+// encoder refuses a Result JSON cannot carry before its first write,
+// so the refusal still gets its own status; the implicit 200 goes out
+// with the first chunk.
+func writeResult(w http.ResponseWriter, id string, res *engine.Result) {
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := engine.WriteCloseJSON(w, id, res); errors.Is(err, engine.ErrUnencodable) {
+		writeError(w, err)
+	}
 }
 
 // registryEntry is one row of GET /v1/registry.
